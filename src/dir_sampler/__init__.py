@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .distributions import (ks_cdf, ks_density, logistic_mixture_density, make_rng,
-                            sample_gamma, sample_ks, sample_truncated_normal)
+from .distributions import (ks_cdf, ks_density, make_rng, sample_gamma, sample_ks,
+                            sample_truncated_normal)
 from .errors import (ConfigError, DataError, DirSamplerError, NumericError,
                      ValidationError)
 from .ffbs import AbilityInputs, FilterState, backward_sample, forward_filter
-from .gibbs import (OBJECTIVE_PRIORS, PriorSpec, SweepWorkspace, gibbs_sweep,
-                    state_invariant_violations)
+from .gibbs import SweepWorkspace, gibbs_sweep
 from .inference import (ChainOutput, CoverageResult, OnlineTrajectory, QuantitySummary,
                         RawScoreEstimate, ability_coverage, fit, fit_online,
                         parameter_coverage, raw_score_estimate, summarize)

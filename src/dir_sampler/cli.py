@@ -77,14 +77,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _dataset_checksums(data_dir: Path) -> dict:
-    out = {}
-    for name in (RESPONSES_FILE, LAPSES_FILE, GROUPS_FILE):
-        p = data_dir / name
+def _dataset_files(data_dir: Path) -> list:
+    paths = [data_dir / name for name in (RESPONSES_FILE, LAPSES_FILE, GROUPS_FILE)]
+    for p in paths:
         if not p.exists():
             raise ConfigError(f"missing dataset file {p}")
-        out[name] = _sha256(p)
-    return out
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +126,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    _dataset_files(Path(args.data_dir))
     data = read_dataset_csv(args.data_dir)
     report = validate_dataset(data)
     if report.passed:
@@ -185,7 +184,7 @@ def cmd_fit(args, force_online: bool = False) -> int:
         raise ConfigError("chains must be >= 1")
 
     data_dir = Path(args.data_dir)
-    checksums = _dataset_checksums(data_dir)
+    checksums = {p.name: _sha256(p) for p in _dataset_files(data_dir)}
     data = read_dataset_csv(data_dir)
     constants = _constants_from(cfg, data)
     out_dir = Path(args.output)
@@ -227,15 +226,14 @@ def cmd_fit(args, force_online: bool = False) -> int:
         chain_dir.mkdir(parents=True, exist_ok=True)
         tp, sp = chain_dir / inference.TRACES_FILE, chain_dir / inference.SUMMARY_FILE
         inference.write_traces_csv(output, tp)
-        inference.write_summary_csv(output, sp)
+        inference.write_summary_csv(output.summaries, output.days, sp)
         written.extend([tp, sp])
     if chains > 1:
         pooled_draws = {name: np.concatenate([o.draw_arrays()[name] for o in outputs])
                         for name in outputs[0].draw_arrays()}
-        pooled = replace(outputs[0], **pooled_draws,
-                         summaries=inference._summaries(pooled_draws))
         sp = out_dir / inference.SUMMARY_FILE
-        inference.write_summary_csv(pooled, sp)
+        pooled = inference._summaries(pooled_draws)
+        inference.write_summary_csv(pooled, outputs[0].days, sp)
         written.append(sp)
     _write_manifest(out_dir, "fit", resolved, checksums,
                     [p for p in written if p.parent == out_dir])
@@ -265,23 +263,20 @@ def cmd_summarize(args) -> int:
     traces = in_dir / inference.TRACES_FILE
     if not traces.exists():
         raise ConfigError(f"no {inference.TRACES_FILE} in {in_dir}")
-    draws, theta_start, days = inference.read_traces_csv(traces)
+    draws, _, days = inference.read_traces_csv(traces)
     summaries = inference._summaries(draws)
     out_dir = Path(args.output) if args.output else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    shell = inference.ChainOutput(
-        **draws, summaries=summaries, theta_start=theta_start, days=days,
-        n_iterations=0, burn_in=0, thin=1, seed=0, mode="retrospective", wall_time=0.0)
     sp = out_dir / inference.SUMMARY_FILE
-    inference.write_summary_csv(shell, sp)
+    inference.write_summary_csv(summaries, days, sp)
     print(f"recomputed quantiles for {draws['theta'].shape[1]} ability points -> {sp}")
 
     truth_path = in_dir / simgen.TRUTH_FILE
     if truth_path.exists():
         truth = simgen.read_truth_csv(truth_path)
         cov = inference.ability_coverage(summaries["theta"], truth.theta, days)
-        param = inference.parameter_coverage(shell, truth)
+        param = inference.parameter_coverage(summaries, truth)
         print("ability coverage (95% interval vs truth):")
         for i, frac in enumerate(cov.per_individual):
             print(f"  individual {i + 1}: {100 * frac:.1f}%")

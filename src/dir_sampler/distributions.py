@@ -10,7 +10,6 @@ across platforms.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfc, erfcinv
 
 from .errors import NumericError
@@ -248,19 +247,3 @@ def sample_ks(rng: Rng, size=None):
         np.copyto(hi, mid, where=~below)
     out = np.maximum(0.5 * (lo + hi), _TINY)
     return float(out[0]) if scalar else out
-
-
-def logistic_mixture_density(y: float) -> float:
-    """Density of a normal scale mixture over the K-S law, by quadrature.
-
-    Integrates N(y; 0, 4 nu^2) against the K-S density; equals the standard
-    logistic density exp(-y)/(1+exp(-y))^2.  Used to certify the
-    augmentation identity in tests, not in the sampler itself.
-    """
-
-    def integrand(nu: float) -> float:
-        var = 4.0 * nu * nu
-        return np.exp(-0.5 * y * y / var) / np.sqrt(2.0 * np.pi * var) * ks_density(nu)
-
-    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200)
-    return val

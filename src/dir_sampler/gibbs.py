@@ -6,17 +6,12 @@ precisions, the system-noise precision (retrospective mode only), and the
 per-item mixture scales.  Every update conditions on the current values of
 everything else, so the sweep leaves the joint posterior invariant.
 
-All conditionals are derived under the objective priors (flat-positive on
-growth, x^(-3/2) on each precision); ``PriorSpec`` exposes the conjugate
-generalization (normal / gamma hyperparameters) whose default values
-reproduce those priors exactly.  Proper values are used by the
-joint-distribution sampler tests.
+All conditionals are derived under the objective priors: flat on positive
+growth, and x^(-3/2) on each precision, which adds -1/2 to the gamma shape
+and nothing to the rate.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,28 +19,6 @@ from . import ffbs
 from .distributions import Rng, sample_gamma, sample_ks, sample_truncated_normal
 from .errors import ConfigError, NumericError
 from .model import Dataset, LatentState, ModelConstants, theta_offsets
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Conjugate prior hyperparameters for growth and the three precisions.
-
-    The precision priors are Gamma-form pi(x) ∝ x^(shape-1) exp(-rate x);
-    the defaults (shape -1/2, rate 0) give the objective x^(-3/2) prior,
-    and growth_prior_variance = inf gives the flat positive growth prior.
-    """
-
-    growth_prior_variance: float = math.inf
-    precision_prior_shape: float = -0.5
-    precision_prior_rate: float = 0.0
-
-    def require_proper(self) -> None:
-        if not (self.growth_prior_variance < math.inf
-                and self.precision_prior_shape > 0.0 and self.precision_prior_rate > 0.0):
-            raise ConfigError("proper priors required here")
-
-
-OBJECTIVE_PRIORS = PriorSpec()
 
 
 class SweepWorkspace:
@@ -166,11 +139,10 @@ def _growth_moments(state: LatentState, work: SweepWorkspace):
     return num, den
 
 
-def update_growth(rng: Rng, state: LatentState, work: SweepWorkspace,
-                  priors: PriorSpec = OBJECTIVE_PRIORS) -> None:
+def update_growth(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     """Positive-truncated-normal draw of each individual's growth rate."""
     num, den = _growth_moments(state, work)
-    precision = state.drift_precision * den + 1.0 / priors.growth_prior_variance
+    precision = state.drift_precision * den
     if np.any(~np.isfinite(precision)) or np.any(precision <= 0.0):
         bad = int(np.flatnonzero(~(precision > 0.0) | ~np.isfinite(precision))[0])
         raise NumericError(f"growth update, individual {bad}: degenerate precision "
@@ -222,12 +194,12 @@ def _guarded_gamma(rng: Rng, shape, rate_fn, redraw, what: str):
     return sample_gamma(rng, shape, rate)
 
 
-def update_test_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
-                                 priors: PriorSpec = OBJECTIVE_PRIORS) -> None:
+def update_test_effect_precision(rng: Rng, state: LatentState,
+                                 work: SweepWorkspace) -> None:
     if work.freeze_effect_precisions:
         return
     data = work.data
-    shape = priors.precision_prior_shape + (work.tests_per_individual - data.days) / 2.0
+    shape = (work.tests_per_individual - data.days) / 2.0 - 0.5
     if np.any(shape <= 0.0):
         bad = int(np.flatnonzero(shape <= 0.0)[0])
         raise ConfigError(f"test-effect precision shape nonpositive for individual {bad}; "
@@ -235,7 +207,7 @@ def update_test_effect_precision(rng: Rng, state: LatentState, work: SweepWorksp
 
     def rate():
         per = np.add.reduceat(state.test_effect ** 2, work.indiv_test_start[:-1])
-        return priors.precision_prior_rate + per / 2.0
+        return per / 2.0
 
     state.test_effect_precision[:] = _guarded_gamma(
         rng, shape, rate, lambda: update_test_effects(rng, state, work),
@@ -253,12 +225,11 @@ def update_day_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> No
     state.day_effect[:] = num / prec + noise / np.sqrt(prec)
 
 
-def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
-                                priors: PriorSpec = OBJECTIVE_PRIORS) -> None:
+def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     if work.freeze_effect_precisions:
         return
     data = work.data
-    shape = priors.precision_prior_shape + data.days / 2.0
+    shape = data.days / 2.0 - 0.5
     if np.any(shape <= 0.0):
         bad = int(np.flatnonzero(shape <= 0.0)[0])
         raise ConfigError(f"day-effect precision shape nonpositive for individual {bad}; "
@@ -266,7 +237,7 @@ def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspa
 
     def rate():
         per = np.add.reduceat(state.day_effect ** 2, data.day_start[:-1])
-        return priors.precision_prior_rate + per / 2.0
+        return per / 2.0
 
     state.day_effect_precision[:] = _guarded_gamma(
         rng, shape, rate, lambda: update_day_effects(rng, state, work),
@@ -274,13 +245,12 @@ def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspa
 
 
 def update_drift_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
-                           priors: PriorSpec = OBJECTIVE_PRIORS,
                            mode: str = "retrospective") -> None:
     """Gamma draw of the shared system-noise precision; held fixed on-line."""
     if mode == "online":
         return
     data = work.data
-    shape = priors.precision_prior_shape + np.sum(data.days) / 2.0
+    shape = np.sum(data.days) / 2.0 - 0.5
     if shape <= 0.0:
         raise ConfigError("drift precision shape nonpositive; dataset should have "
                           "been rejected by the validation gate")
@@ -290,7 +260,7 @@ def update_drift_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
         resid = (state.theta[work.day_theta] - theta_prev
                  - state.growth[work.day_individual]
                  * (1.0 - work.constants.rho * theta_prev) * work.lapse_trunc)
-        return priors.precision_prior_rate + float(np.sum(resid * resid * work.inv_lapse)) / 2.0
+        return float(np.sum(resid * resid * work.inv_lapse)) / 2.0
 
     state.drift_precision = float(_guarded_gamma(
         rng, shape, rate, lambda: update_abilities(rng, state, work), "drift precision"))
@@ -311,62 +281,28 @@ def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None
     work.refresh_obs_precision(state)
 
 
-_SWEEP_STEPS = (
-    ("latent utilities", lambda rng, st, wk, pr, mode: update_latent_utilities(rng, st, wk)),
-    ("abilities", lambda rng, st, wk, pr, mode: update_abilities(rng, st, wk)),
-    ("growth", lambda rng, st, wk, pr, mode: update_growth(rng, st, wk, pr)),
-    ("test effects", lambda rng, st, wk, pr, mode: update_test_effects(rng, st, wk)),
-    ("test-effect precision",
-     lambda rng, st, wk, pr, mode: update_test_effect_precision(rng, st, wk, pr)),
-    ("day effects", lambda rng, st, wk, pr, mode: update_day_effects(rng, st, wk)),
-    ("day-effect precision",
-     lambda rng, st, wk, pr, mode: update_day_effect_precision(rng, st, wk, pr)),
-    ("drift precision",
-     lambda rng, st, wk, pr, mode: update_drift_precision(rng, st, wk, pr, mode)),
-    ("mixture scales", lambda rng, st, wk, pr, mode: update_ks_scales(rng, st, wk)),
-)
+def _step(name: str, update, *args) -> None:
+    """Run one update, reporting a numeric failure with the update's name."""
+    try:
+        update(*args)
+    except ConfigError:
+        raise
+    except (NumericError, ValueError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
+        raise NumericError(f"sweep aborted in {name} update: {exc}") from exc
 
 
 def gibbs_sweep(rng: Rng, state: LatentState, work: SweepWorkspace,
-                mode: str = "retrospective",
-                priors: PriorSpec = OBJECTIVE_PRIORS) -> LatentState:
+                mode: str = "retrospective") -> LatentState:
     """Apply all nine updates in order, mutating and returning ``state``."""
     work.refresh_obs_precision(state)
-    for name, step in _SWEEP_STEPS:
-        try:
-            step(rng, state, work, priors, mode)
-        except ConfigError:
-            raise
-        except (NumericError, ValueError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
-            raise NumericError(f"sweep aborted in {name} update: {exc}") from exc
+    _step("latent utilities", update_latent_utilities, rng, state, work)
+    _step("abilities", update_abilities, rng, state, work)
+    _step("growth", update_growth, rng, state, work)
+    _step("test effects", update_test_effects, rng, state, work)
+    _step("test-effect precision", update_test_effect_precision, rng, state, work)
+    _step("day effects", update_day_effects, rng, state, work)
+    _step("day-effect precision", update_day_effect_precision, rng, state, work)
+    _step("drift precision", update_drift_precision, rng, state, work, mode)
+    _step("mixture scales", update_ks_scales, rng, state, work)
     return state
-
-
-def state_invariant_violations(state: LatentState, work: SweepWorkspace) -> list:
-    """Invariant checks (used by tests): sum-zero test effects, response-
-    consistent utility signs, positive precisions/scales, nonneg growth."""
-    data = work.data
-    problems = []
-    day_sums = np.add.reduceat(state.test_effect, data.test_start[:-1])
-    if np.any(np.abs(day_sums) > 1e-12):
-        problems.append("test effects do not sum to zero within a day")
-    if np.any(state.test_effect[data.test_start[work.single_test_days]] != 0.0):
-        problems.append("single-test day has nonzero test effect")
-    correct = data.response == 1
-    if np.any(state.latent_utility[correct] <= 0.0):
-        problems.append("correct response with nonpositive latent utility")
-    if np.any(state.latent_utility[~correct] > 0.0):
-        problems.append("incorrect response with positive latent utility")
-    if np.any(state.growth < 0.0):
-        problems.append("negative growth rate")
-    for name in ("day_effect_precision", "test_effect_precision"):
-        if np.any(getattr(state, name) <= 0.0):
-            problems.append(f"nonpositive {name}")
-    if not state.drift_precision > 0.0:
-        problems.append("nonpositive drift_precision")
-    if np.any(state.ks_scale <= 0.0):
-        problems.append("nonpositive mixture scale")
-    if not np.all(np.isfinite(state.theta)):
-        problems.append("non-finite ability")
-    return problems

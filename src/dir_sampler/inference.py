@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
-from .gibbs import OBJECTIVE_PRIORS, PriorSpec, SweepWorkspace, gibbs_sweep
-from .model import (Dataset, LatentState, ModelConstants, SamplerConfig, initial_state,
-                    individual_propriety_failures, theta_offsets, validate_dataset)
+from .errors import ConfigError, DataError, ValidationError
+from .gibbs import SweepWorkspace, gibbs_sweep
+from .model import (Dataset, LatentState, ModelConstants, SamplerConfig, _fmt, _offsets,
+                    initial_state, individual_propriety_failures, validate_dataset)
 
 QUANTILES = (0.025, 0.5, 0.975)
 
@@ -42,7 +42,6 @@ class ChainOutput:
     day_effect_sd: np.ndarray   # (draws, n)
     test_effect_sd: np.ndarray  # (draws, n)
     summaries: dict             # name -> QuantitySummary
-    theta_start: np.ndarray
     days: np.ndarray
     n_iterations: int
     burn_in: int
@@ -83,8 +82,7 @@ def _stream_seed(*key) -> np.random.SeedSequence:
 
 def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
                init: LatentState | None = None, burn_in: int | None = None,
-               seed_seq=None, freeze_effect_precisions: bool = False,
-               priors: PriorSpec = OBJECTIVE_PRIORS):
+               seed_seq=None, freeze_effect_precisions: bool = False):
     """Run sweeps and collect thinned draws; returns (ChainOutput, final state)."""
     start = time.perf_counter()
     burn = config.burn_in if burn_in is None else burn_in
@@ -105,7 +103,7 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     test_sd = np.empty((n_draws, data.n_individuals))
     k = 0
     for sweep in range(1, config.n_iterations + 1):
-        gibbs_sweep(rng, state, work, mode=config.mode, priors=priors)
+        gibbs_sweep(rng, state, work, mode=config.mode)
         if sweep > burn and (sweep - burn) % config.thin == 0:
             theta[k] = state.theta
             growth[k] = state.growth
@@ -116,10 +114,9 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     draws = {"theta": theta, "growth": growth, "drift_sd": drift_sd,
              "day_effect_sd": day_sd, "test_effect_sd": test_sd}
     output = ChainOutput(
-        **draws, summaries=_summaries(draws), theta_start=theta_offsets(data),
-        days=data.days.copy(), n_iterations=config.n_iterations, burn_in=burn,
-        thin=config.thin, seed=config.seed, mode=config.mode,
-        wall_time=time.perf_counter() - start)
+        **draws, summaries=_summaries(draws), days=data.days.copy(),
+        n_iterations=config.n_iterations, burn_in=burn, thin=config.thin, seed=config.seed,
+        mode=config.mode, wall_time=time.perf_counter() - start)
     return output, state
 
 
@@ -149,8 +146,7 @@ def ability_coverage(summary: QuantitySummary, truth_theta: np.ndarray,
     truth_theta = np.asarray(truth_theta, dtype=float)
     if len(summary.median) != len(truth_theta) or len(truth_theta) != int(np.sum(days + 1)):
         raise ValueError("summary and truth are not index-aligned")
-    starts = np.zeros(len(days) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(days) + 1, out=starts[1:])
+    starts = _offsets(np.asarray(days) + 1)
     hit = (summary.q025 <= truth_theta) & (truth_theta <= summary.q975)
     per = np.array([hit[starts[i] + 1:starts[i + 1]].mean() for i in range(len(days))])
     total = int(np.sum(days))
@@ -158,7 +154,7 @@ def ability_coverage(summary: QuantitySummary, truth_theta: np.ndarray,
     return CoverageResult(per_individual=per, overall=overall)
 
 
-def parameter_coverage(output: ChainOutput, truth) -> float:
+def parameter_coverage(summaries: dict, truth) -> float:
     """Joint 95%-interval coverage over every growth rate, both random-effect
     sds, and the drift sd (one value per quantity, pooled)."""
     checks = []
@@ -167,7 +163,7 @@ def parameter_coverage(output: ChainOutput, truth) -> float:
              ("day_effect_sd", truth.day_effect_precision ** -0.5),
              ("drift_sd", np.atleast_1d(truth.drift_precision ** -0.5)))
     for name, true_vals in pairs:
-        s = output.summaries[name]
+        s = summaries[name]
         lo, hi = np.atleast_1d(s.q025), np.atleast_1d(s.q975)
         if len(lo) != len(true_vals):
             raise ValueError(f"{name}: summary and truth are not index-aligned")
@@ -307,15 +303,12 @@ SUMMARY_FILE = "summary.csv"
 ONLINE_FILE = "online.csv"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _quantity_rows(output: ChainOutput):
+def _quantity_rows(days: np.ndarray):
     """Yield (quantity, individual-or-None, day-or-None, column) per scalar."""
-    n = len(output.days)
+    theta_start = _offsets(np.asarray(days) + 1)
+    n = len(days)
     for i in range(n):
-        lo, hi = output.theta_start[i], output.theta_start[i + 1]
+        lo, hi = theta_start[i], theta_start[i + 1]
         for t, col in enumerate(range(lo, hi)):
             yield "theta", i, t, col
     for name in ("growth", "day_effect_sd", "test_effect_sd"):
@@ -332,7 +325,7 @@ def write_traces_csv(output: ChainOutput, path) -> None:
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["quantity", "individual", "day", "iteration", "value"])
-        for name, i, t, col in _quantity_rows(output):
+        for name, i, t, col in _quantity_rows(output.days):
             series = draws[name][:, col]
             ind = "" if i is None else i + 1
             day = "" if t is None else t
@@ -340,13 +333,14 @@ def write_traces_csv(output: ChainOutput, path) -> None:
                 w.writerow([name, ind, day, int(it), _fmt(val)])
 
 
-def write_summary_csv(output: ChainOutput, path) -> None:
-
+def write_summary_csv(summaries: dict, days: np.ndarray, path) -> None:
+    """One row of (2.5%, 50%, 97.5%) quantiles per scalar, for individuals
+    with ``days`` test days each."""
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["quantity", "individual", "day", "q025", "median", "q975"])
-        for name, i, t, col in _quantity_rows(output):
-            s = output.summaries[name]
+        for name, i, t, col in _quantity_rows(days):
+            s = summaries[name]
             row = ["" if i is None else i + 1, "" if t is None else t]
             w.writerow([name] + row + [_fmt(np.atleast_1d(s.q025)[col]),
                                        _fmt(np.atleast_1d(s.median)[col]),
@@ -369,39 +363,46 @@ def read_traces_csv(path):
     """Read a trace file back into draw arrays.
 
     Returns (draws dict, theta_start, days); draw order follows the stored
-    iteration numbers.
+    iteration numbers.  A malformed header, row or series raises
+    ``DataError`` naming the file, and the line for a row.
     """
-
+    header = ["quantity", "individual", "day", "iteration", "value"]
     series: dict = {}
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["quantity", "individual", "day", "iteration", "value"]:
-            raise ValueError(f"{path}: unexpected traces header")
-        for quantity, ind, day, it, val in reader:
-            key = (quantity, int(ind) - 1 if ind else None, int(day) if day else None)
-            series.setdefault(key, []).append((int(it), float(val)))
+        if next(reader, None) != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        for row in reader:
+            try:
+                quantity, ind, day, it, val = row
+                key = (quantity, int(ind) - 1 if ind else None, int(day) if day else None)
+                series.setdefault(key, []).append((int(it), float(val)))
+            except ValueError as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
-    theta_keys = sorted(k for k in series if k[0] == "theta")
-    n = max(k[1] for k in theta_keys) + 1
-    days = np.array([max(k[2] for k in theta_keys if k[1] == i) for i in range(n)],
-                    dtype=np.int64)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(days + 1, out=starts[1:])
+    theta_keys = [(i, t) for quantity, i, t in series if quantity == "theta"]
+    if not theta_keys or any(None in key or min(key) < 0 for key in theta_keys):
+        raise DataError(f"{path}: theta rows need an individual >= 1 and a day >= 0")
+    days = np.zeros(max(i for i, _ in theta_keys) + 1, dtype=np.int64)
+    for i, t in theta_keys:
+        days[i] = max(days[i], t)
+    starts = _offsets(days + 1)
+    n_draws = len(series[("theta", *theta_keys[0])])
 
-    def column(key):
-        rows = sorted(series[key])
+    def column(quantity, i=None, t=None):
+        rows = sorted(series.get((quantity, i, t), ()))
+        if len(rows) != n_draws:
+            who = "" if i is None else f" individual {i + 1}"
+            when = "" if t is None else f" day {t}"
+            raise DataError(f"{path}: {len(rows)} draws of {quantity}{who}{when}, "
+                            f"expected {n_draws}")
         return np.array([v for _, v in rows])
 
-    n_draws = len(series[theta_keys[0]])
     theta = np.empty((n_draws, int(starts[-1])))
-    for _, i, t in theta_keys:
-        theta[:, starts[i] + t] = column(("theta", i, t))
-    per_indiv = {}
-    for name in ("growth", "day_effect_sd", "test_effect_sd"):
-        arr = np.empty((n_draws, n))
-        for i in range(n):
-            arr[:, i] = column((name, i, None))
-        per_indiv[name] = arr
-    draws = {"theta": theta, **per_indiv, "drift_sd": column(("drift_sd", None, None))}
+    for i in range(len(days)):
+        for t in range(days[i] + 1):
+            theta[:, starts[i] + t] = column("theta", i, t)
+    per_indiv = {name: np.column_stack([column(name, i) for i in range(len(days))])
+                 for name in ("growth", "day_effect_sd", "test_effect_sd")}
+    draws = {"theta": theta, **per_indiv, "drift_sd": column("drift_sd")}
     return draws, starts, days

@@ -3,15 +3,19 @@
 Responses are ragged over (individual, day, test, item).  ``Dataset``
 stores them flattened in lexicographic order with offset tables at each
 level, so the sampler's hot loop works on contiguous arrays instead of
-per-item lookups.  All indices are 0-based internally; the CSV interchange
-format is 1-based.
+per-item lookups.  ``Dataset.from_keys`` builds one from flat key columns
+in any row order: it lexsorts the keys, checks in numpy that they are
+unique and dense, and reads the counts off where the keys change.  The CSV
+reader parses its files into such columns, and the writer emits them from
+the offset tables.  All indices are 0-based internally; the CSV
+interchange format is 1-based.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,6 +28,64 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out
+
+
+_KEY_NAMES = ("individual", "day", "test", "item")
+
+
+def _describe(keys, row: int) -> str:
+    """'individual 1 day 2 ...', 1-based, for one row of 0-based key columns."""
+    return " ".join(f"{name} {int(k[row]) + 1}" for name, k in zip(_KEY_NAMES, keys))
+
+
+def _group_starts(keys: list, what: str) -> list:
+    """Masks of the lexsorted rows that open a new group at each key level.
+
+    Raises DataError unless the 0-based keys are >= 0, unique, and dense
+    (0, 1, 2, ... within each parent group) at every level.
+    """
+    if any(np.any(k < 0) for k in keys):
+        raise DataError(f"{what} keys must be >= 0")
+    opens = np.zeros(len(keys[0]), dtype=bool)
+    opens[:1] = True
+    starts = []
+    for level, k in enumerate(keys):
+        step = np.diff(k, prepend=0)
+        leaf = level == len(keys) - 1
+        ok = np.where(opens, k == 0, (step == 1) | ((step == 0) & (not leaf)))
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            row = int(bad[0])
+            if not opens[row] and step[row] == 0:
+                raise DataError(f"duplicate {what} row for {_describe(keys, row)}")
+            parent = _describe(keys[:level], row)
+            missing = 1 if opens[row] else int(k[row - 1]) + 2
+            raise DataError(f"{what} rows not dense: no {_KEY_NAMES[level]} {missing}"
+                            + (f" for {parent}" if parent else ""))
+        opens = opens | (step != 0)
+        starts.append(opens)
+    return starts
+
+
+def _lapse_per_day(day_keys: list, individual, day, lapse) -> np.ndarray:
+    """The lapse of each response day, in day order, from (individual, day,
+    lapse) rows that must cover exactly the days with responses."""
+    keys = [np.asarray(k, dtype=np.int64) for k in (individual, day)]
+    lapse = np.asarray(lapse, dtype=float)
+    if not len(keys[0]) == len(keys[1]) == len(lapse):
+        raise DataError("lapse columns differ in length")
+    order = np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    _group_starts(keys, "lapse")
+    # both key sets are dense, so they can first differ only in the individual
+    m = min(len(order), len(day_keys[0]))
+    differ = np.flatnonzero(keys[0][:m] != day_keys[0][:m])
+    k = int(differ[0]) if differ.size else m
+    if k < len(day_keys[0]) and (k == len(order) or keys[0][k] > day_keys[0][k]):
+        raise DataError(f"missing lapse for {_describe(day_keys, k)}")
+    if k < len(order):
+        raise DataError(f"lapse row for {_describe(keys, k)} has no responses")
+    return lapse[order]
 
 
 @dataclass(frozen=True)
@@ -52,6 +114,8 @@ class Dataset:
     def __post_init__(self):
         for name in ("days", "tests_per_day", "items_per_test"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if not np.all(np.isin(self.response, (0, 1))):  # before the uint8 cast wraps
+            raise DataError("responses must be 0 or 1")
         object.__setattr__(self, "response", np.asarray(self.response, dtype=np.uint8))
         object.__setattr__(self, "difficulty", np.asarray(self.difficulty, dtype=float))
         object.__setattr__(self, "lapse", np.asarray(self.lapse, dtype=float))
@@ -80,8 +144,6 @@ class Dataset:
             raise DataError("difficulty length does not match total test count")
         if len(self.lapse) != self.n_days:
             raise DataError("lapse length does not match total day count")
-        if not np.all(np.isin(self.response, (0, 1))):
-            raise DataError("responses must be 0 or 1")
         if np.any(~np.isfinite(self.lapse)) or np.any(self.lapse <= 0.0):
             raise DataError("time lapses must be finite and > 0")
         if np.any(~np.isfinite(self.difficulty)):
@@ -104,37 +166,39 @@ class Dataset:
         return int(self.item_start[-1])
 
     @classmethod
-    def from_nested(cls, responses, difficulties, lapses, groups) -> "Dataset":
-        """Build from nested lists responses[i][t][s][l], difficulties[i][t][s],
-        lapses[i][t], groups[i]."""
-        n = len(responses)
-        if not (len(difficulties) == len(lapses) == len(groups) == n):
-            raise DataError("nested inputs disagree on individual count")
-        days, s_counts, k_counts = [], [], []
-        resp_flat, diff_flat, lapse_flat = [], [], []
-        for i in range(n):
-            if len(difficulties[i]) != len(responses[i]) or len(lapses[i]) != len(responses[i]):
-                raise DataError(f"individual {i}: day counts disagree across inputs")
-            days.append(len(responses[i]))
-            for t, day in enumerate(responses[i]):
-                if len(difficulties[i][t]) != len(day):
-                    raise DataError(f"individual {i} day {t}: test counts disagree")
-                s_counts.append(len(day))
-                lapse_flat.append(lapses[i][t])
-                for s, test in enumerate(day):
-                    k_counts.append(len(test))
-                    diff_flat.append(difficulties[i][t][s])
-                    resp_flat.extend(test)
-        return cls(days=days, tests_per_day=s_counts, items_per_test=k_counts,
-                   response=resp_flat, difficulty=diff_flat, lapse=lapse_flat,
-                   group=groups)
+    def from_keys(cls, individual, day, test, item, response, difficulty,
+                  lapse_individual, lapse_day, lapse, group) -> "Dataset":
+        """Build from one row per item, in any row order.
 
-    def with_responses(self, response) -> "Dataset":
-        """Same structure, new response vector (shares all index tables)."""
-        response = np.asarray(response, dtype=np.uint8)
-        if response.shape != self.response.shape:
-            raise DataError("replacement responses have wrong length")
-        return replace(self, response=response)
+        ``individual``, ``day``, ``test`` and ``item`` are 0-based keys that
+        must be unique and dense at every level; ``difficulty`` repeats the
+        test's difficulty on each of its items.  ``lapse_individual``,
+        ``lapse_day`` and ``lapse`` give one lapse per (individual, day) that
+        has responses, and ``group`` one label per individual.  Error
+        messages name keys 1-based, as the CSV files do.
+        """
+        keys = [np.asarray(k, dtype=np.int64) for k in (individual, day, test, item)]
+        response, difficulty = np.asarray(response), np.asarray(difficulty, dtype=float)
+        if len({len(col) for col in (*keys, response, difficulty)}) != 1:
+            raise DataError("response columns differ in length")
+        if not len(response):
+            raise DataError("dataset has no responses")
+        order = np.lexsort(keys[::-1])
+        keys, difficulty = [k[order] for k in keys], difficulty[order]
+        new_individual, new_day, new_test, _ = _group_starts(keys, "response")
+        bad = np.flatnonzero((difficulty[1:] != difficulty[:-1]) & ~new_test[1:]) + 1
+        if bad.size:
+            raise DataError(f"inconsistent difficulty for {_describe(keys[:3], bad[0])}")
+        day_rows, test_rows = np.flatnonzero(new_day), np.flatnonzero(new_test)
+        return cls(days=np.diff(np.flatnonzero(new_individual[day_rows]),
+                                append=len(day_rows)),
+                   tests_per_day=np.diff(np.flatnonzero(new_day[test_rows]),
+                                         append=len(test_rows)),
+                   items_per_test=np.diff(test_rows, append=len(order)),
+                   response=response[order], difficulty=difficulty[test_rows],
+                   lapse=_lapse_per_day([k[day_rows] for k in keys[:2]],
+                                        lapse_individual, lapse_day, lapse),
+                   group=group)
 
     def individual_prefix(self, i: int, n_days: int) -> "Dataset":
         """Single-individual dataset restricted to the first ``n_days`` days."""
@@ -342,6 +406,9 @@ def validate_dataset(data: Dataset) -> ValidationReport:
 RESPONSES_FILE = "responses.csv"
 LAPSES_FILE = "lapses.csv"
 GROUPS_FILE = "groups.csv"
+RESPONSES_HEADER = ("individual", "day", "test", "item", "response", "difficulty")
+LAPSES_HEADER = ("individual", "day", "lapse_days")
+GROUPS_HEADER = ("individual", "group")
 
 
 def _fmt(x: float) -> str:
@@ -353,89 +420,99 @@ def write_dataset_csv(data: Dataset, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rp, lp, gp = out_dir / RESPONSES_FILE, out_dir / LAPSES_FILE, out_dir / GROUPS_FILE
+    # 1-based keys of every day, test and item, from the offset tables
+    day_individual = np.repeat(np.arange(data.n_individuals), data.days)
+    day_key = np.arange(data.n_days) - data.day_start[day_individual] + 1
+    test_day = np.repeat(np.arange(data.n_days), data.tests_per_day)
+    test_key = np.arange(data.n_tests) - data.test_start[test_day] + 1
+    item_test = np.repeat(np.arange(data.n_tests), data.items_per_test)
+    item_key = np.arange(data.n_items) - data.item_start[item_test] + 1
+    item_day = test_day[item_test]
+    difficulty = [_fmt(x) for x in data.difficulty]
     with rp.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["individual", "day", "test", "item", "response", "difficulty"])
-        for i in range(data.n_individuals):
-            for t, day in enumerate(range(data.day_start[i], data.day_start[i + 1])):
-                for s, test in enumerate(range(data.test_start[day], data.test_start[day + 1])):
-                    diff = _fmt(data.difficulty[test])
-                    for l, item in enumerate(range(data.item_start[test], data.item_start[test + 1])):
-                        w.writerow([i + 1, t + 1, s + 1, l + 1, int(data.response[item]), diff])
+        w.writerow(RESPONSES_HEADER)
+        w.writerows(zip((day_individual[item_day] + 1).tolist(), day_key[item_day].tolist(),
+                        test_key[item_test].tolist(), item_key.tolist(),
+                        data.response.tolist(),
+                        map(difficulty.__getitem__, item_test.tolist())))
     with lp.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["individual", "day", "lapse_days"])
-        for i in range(data.n_individuals):
-            for t, day in enumerate(range(data.day_start[i], data.day_start[i + 1])):
-                w.writerow([i + 1, t + 1, _fmt(data.lapse[day])])
+        w.writerow(LAPSES_HEADER)
+        w.writerows(zip((day_individual + 1).tolist(), day_key.tolist(),
+                        map(_fmt, data.lapse)))
     with gp.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["individual", "group"])
-        for i, g in enumerate(data.group):
-            w.writerow([i + 1, g])
+        w.writerow(GROUPS_HEADER)
+        w.writerows(enumerate(data.group, start=1))
     return [rp, lp, gp]
 
 
-def _read_rows(path: Path, expected_header: Sequence[str]) -> list:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(expected_header):
-            raise DataError(f"{path}: expected header {','.join(expected_header)}")
-        return [row for row in reader if row]
+def _parse(path: Path, lines: list, column, name: str, kind) -> np.ndarray:
+    """A column of text as int64 (``kind`` int) or float values, or as
+    0-based keys from 1-based ones (``kind`` "key"); DataError names the
+    first line that does not parse or holds a key below 1."""
+    convert, dtype = (float, float) if kind is float else (int, np.int64)
+    try:
+        values = np.fromiter(map(convert, column), dtype, count=len(column))
+    except (ValueError, OverflowError):
+        for line, text in zip(lines, column):
+            try:
+                dtype(convert(text))
+            except (ValueError, OverflowError):
+                what = "a number" if kind is float else "an integer"
+                raise DataError(f"{path} line {line}: {name} {text!r} "
+                                f"is not {what}") from None
+        raise
+    if kind == "key":
+        bad = np.flatnonzero(values < 1)
+        if bad.size:
+            raise DataError(f"{path} line {lines[bad[0]]}: {name} must be >= 1, "
+                            f"got {values[bad[0]]}")
+        values -= 1
+    return values
+
+
+def _read_columns(path: Path, header: Sequence[str], kinds: Sequence) -> list:
+    """The columns of a CSV file's non-blank rows, each parsed by ``_parse``
+    with its kind, or kept as text for kind ``str``."""
+    rows, lines = [], []
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != list(header):
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path} line {reader.line_num}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+                rows.append(row)
+                lines.append(reader.line_num)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    columns = list(zip(*rows)) or [()] * len(header)
+    return [column if kind is str else _parse(path, lines, column, name, kind)
+            for column, name, kind in zip(columns, header, kinds)]
 
 
 def read_dataset_csv(in_dir) -> Dataset:
     """Read the responses/lapses/groups trio written by ``write_dataset_csv``.
 
-    Row order is free; (individual, day, test, item) keys must be dense and
-    1-based, and all items of a test must agree on its difficulty.
+    Each file is parsed into columns, which ``Dataset.from_keys`` sorts and
+    checks.  Row order is free; (individual, day, test, item) keys must be
+    1-based, unique and dense, all items of a test must agree on its
+    difficulty, and every (individual, day) with responses needs one lapse
+    and every individual one group.  A malformed row raises ``DataError``
+    naming its file and line.
     """
     in_dir = Path(in_dir)
-    rows = _read_rows(in_dir / RESPONSES_FILE,
-                      ["individual", "day", "test", "item", "response", "difficulty"])
-    items: dict = {}
-    for row in rows:
-        i, t, s, l = (int(row[0]) - 1, int(row[1]) - 1, int(row[2]) - 1, int(row[3]) - 1)
-        resp = int(row[4])
-        key = (i, t, s, l)
-        if key in items:
-            raise DataError(f"duplicate response row for {tuple(k + 1 for k in key)}")
-        items[key] = (resp, float(row[5]))
-
-    lapse_rows = _read_rows(in_dir / LAPSES_FILE, ["individual", "day", "lapse_days"])
-    lapses = {(int(r[0]) - 1, int(r[1]) - 1): float(r[2]) for r in lapse_rows}
-    group_rows = _read_rows(in_dir / GROUPS_FILE, ["individual", "group"])
-    groups = {int(r[0]) - 1: r[1] for r in group_rows}
-
-    n = max(k[0] for k in items) + 1
-    nested_resp, nested_diff, nested_lapse, group_list = [], [], [], []
-    for i in range(n):
-        if i not in groups:
-            raise DataError(f"missing group for individual {i + 1}")
-        group_list.append(groups[i])
-        t_max = max((k[1] for k in items if k[0] == i), default=-1) + 1
-        days_r, days_d, days_l = [], [], []
-        for t in range(t_max):
-            if (i, t) not in lapses:
-                raise DataError(f"missing lapse for individual {i + 1} day {t + 1}")
-            days_l.append(lapses[(i, t)])
-            s_max = max((k[2] for k in items if k[:2] == (i, t)), default=-1) + 1
-            tests_r, tests_d = [], []
-            for s in range(s_max):
-                keys = sorted(k for k in items if k[:3] == (i, t, s))
-                if [k[3] for k in keys] != list(range(len(keys))):
-                    raise DataError(f"items not dense for individual {i + 1} day {t + 1} "
-                                    f"test {s + 1}")
-                diffs = {items[k][1] for k in keys}
-                if len(diffs) != 1:
-                    raise DataError(f"inconsistent difficulty for individual {i + 1} "
-                                    f"day {t + 1} test {s + 1}")
-                tests_r.append([items[k][0] for k in keys])
-                tests_d.append(diffs.pop())
-            days_r.append(tests_r)
-            days_d.append(tests_d)
-        nested_resp.append(days_r)
-        nested_diff.append(days_d)
-        nested_lapse.append(days_l)
-    return Dataset.from_nested(nested_resp, nested_diff, nested_lapse, group_list)
+    responses = _read_columns(in_dir / RESPONSES_FILE, RESPONSES_HEADER,
+                              ("key", "key", "key", "key", int, float))
+    lapses = _read_columns(in_dir / LAPSES_FILE, LAPSES_HEADER, ("key", "key", float))
+    group_key, group = _read_columns(in_dir / GROUPS_FILE, GROUPS_HEADER, ("key", str))
+    order = np.argsort(group_key, kind="stable")
+    _group_starts([group_key[order]], "group")
+    return Dataset.from_keys(*responses, *lapses, [group[k] for k in order])

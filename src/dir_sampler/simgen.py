@@ -18,7 +18,8 @@ import numpy as np
 
 from .distributions import make_rng
 from .errors import ConfigError, DataError
-from .model import Dataset, ModelConstants, theta_offsets, validate_dataset
+from .model import (Dataset, ModelConstants, _fmt, _offsets, theta_offsets,
+                    validate_dataset)
 
 SIM_GROUP = "sim"
 TRUTH_FILE = "truth.csv"
@@ -84,8 +85,8 @@ class SimConfig:
                               "provide lapse_table for shorter designs")
 
     def lapses(self) -> np.ndarray:
-        if self.lapse_table is not None:
-            return np.asarray(self.lapse_table, dtype=float)
+        if self.lapse_table is not None:  # a copy, which the Dataset may keep
+            return np.array(self.lapse_table, dtype=float)
         return np.tile(paper_lapse_schedule(self.days), (self.n_individuals, 1))
 
     def constants(self) -> ModelConstants:
@@ -168,15 +169,13 @@ def simulate_dataset(cfg: SimConfig) -> tuple:
              + day_effect[..., None, None] + test_effect[..., None] + item_dev)
     prob = 1.0 / (1.0 + np.exp(-logit))
 
-    groups = [SIM_GROUP] * n
-    lapse_nested = [lapse[i].tolist() for i in range(n)]
-    diff_nested = [[difficulty[i, t].tolist() for t in range(t_total)] for i in range(n)]
     data = None
     for _ in range(100):
         response = (rng.random(prob.shape) < prob).astype(np.uint8)
-        resp_nested = [[[response[i, t, j].tolist() for j in range(s)]
-                        for t in range(t_total)] for i in range(n)]
-        data = Dataset.from_nested(resp_nested, diff_nested, lapse_nested, groups)
+        data = Dataset(days=np.full(n, t_total), tests_per_day=np.full(n * t_total, s),
+                       items_per_test=np.full(n * t_total * s, k),
+                       response=response.reshape(-1), difficulty=difficulty.reshape(-1),
+                       lapse=lapse.reshape(-1), group=[SIM_GROUP] * n)
         if validate_dataset(data).passed or cfg.n_individuals == 1:
             break
     else:
@@ -194,10 +193,6 @@ def simulate_dataset(cfg: SimConfig) -> tuple:
         theta_start=theta_offsets(data),
     )
     return data, truth
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_truth_csv(truth: SimTruth, out_dir) -> Path:
@@ -250,8 +245,7 @@ def read_truth_csv(path) -> SimTruth:
         raise DataError(f"{path}: missing drift_precision row")
     n = max(i for i, _ in theta) + 1
     days = np.array([max(t for j, t in theta if j == i) for i in range(n)])
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(days + 1, out=starts[1:])
+    starts = _offsets(days + 1)
     flat = np.empty(int(starts[-1]))
     for (i, t), val in theta.items():
         flat[starts[i] + t] = val

@@ -15,14 +15,22 @@ def tiny_constants():
 
 
 def build_dataset(responses, difficulties=None, lapses=None, groups=None) -> Dataset:
-    """Dataset from nested responses with difficulty 0 and lapse 1 defaults."""
+    """Dataset from nested responses[i][t][s][l], difficulties[i][t][s] and
+    lapses[i][t], with difficulty 0 and lapse 1 defaults."""
+    days = [day for ind in responses for day in ind]
+    tests = [test for day in days for test in day]
     if difficulties is None:
-        difficulties = [[[0.0 for _ in day] for day in ind] for ind in responses]
+        difficulties = [[[0.0] * len(day) for day in ind] for ind in responses]
     if lapses is None:
-        lapses = [[1.0 for _ in ind] for ind in responses]
+        lapses = [[1.0] * len(ind) for ind in responses]
     if groups is None:
         groups = ["g"] * len(responses)
-    return Dataset.from_nested(responses, difficulties, lapses, groups)
+    return Dataset(days=[len(ind) for ind in responses],
+                   tests_per_day=[len(day) for day in days],
+                   items_per_test=[len(test) for test in tests],
+                   response=[r for test in tests for r in test],
+                   difficulty=[a for ind in difficulties for day in ind for a in day],
+                   lapse=[x for ind in lapses for x in ind], group=groups)
 
 
 def mixed_two_test_day():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from dir_sampler import (ks_cdf, ks_density, logistic_mixture_density, make_rng,
-                         sample_gamma, sample_ks, sample_truncated_normal)
+from dir_sampler import (ks_cdf, ks_density, make_rng, sample_gamma, sample_ks,
+                         sample_truncated_normal)
 
 from conftest import mc_se_mean
 
@@ -168,6 +168,18 @@ def test_sample_ks_deterministic_and_scalar():
 
 def logistic_density(y):
     return np.exp(-y) / (1.0 + np.exp(-y)) ** 2
+
+
+def logistic_mixture_density(y: float) -> float:
+    """Density of a normal scale mixture over the K-S law, by quadrature:
+    N(y; 0, 4 nu^2) integrated against the K-S density."""
+
+    def integrand(nu: float) -> float:
+        var = 4.0 * nu * nu
+        return np.exp(-0.5 * y * y / var) / np.sqrt(2.0 * np.pi * var) * ks_density(nu)
+
+    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200)
+    return val
 
 
 def test_mixture_density_at_zero():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dir_sampler import (ConfigError, ModelConstants, NumericError, SweepWorkspace,
                          gibbs_sweep, initial_state, make_rng, sample_ks,
-                         simulate_dataset, state_invariant_violations)
+                         simulate_dataset)
 from dir_sampler import ffbs, gibbs
 from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
                                update_day_effects, update_drift_precision,
@@ -422,6 +422,35 @@ def test_sweep_deterministic_across_runs():
     assert a.drift_precision == b.drift_precision
     assert np.array_equal(a.ks_scale, b.ks_scale)
     assert np.array_equal(a.test_effect, b.test_effect)
+
+
+def state_invariant_violations(state, work: SweepWorkspace) -> list:
+    """Sum-zero test effects, response-consistent utility signs, positive
+    precisions/scales, nonneg growth."""
+    data = work.data
+    problems = []
+    day_sums = np.add.reduceat(state.test_effect, data.test_start[:-1])
+    if np.any(np.abs(day_sums) > 1e-12):
+        problems.append("test effects do not sum to zero within a day")
+    if np.any(state.test_effect[data.test_start[work.single_test_days]] != 0.0):
+        problems.append("single-test day has nonzero test effect")
+    correct = data.response == 1
+    if np.any(state.latent_utility[correct] <= 0.0):
+        problems.append("correct response with nonpositive latent utility")
+    if np.any(state.latent_utility[~correct] > 0.0):
+        problems.append("incorrect response with positive latent utility")
+    if np.any(state.growth < 0.0):
+        problems.append("negative growth rate")
+    for name in ("day_effect_precision", "test_effect_precision"):
+        if np.any(getattr(state, name) <= 0.0):
+            problems.append(f"nonpositive {name}")
+    if not state.drift_precision > 0.0:
+        problems.append("nonpositive drift_precision")
+    if np.any(state.ks_scale <= 0.0):
+        problems.append("nonpositive mixture scale")
+    if not np.all(np.isfinite(state.theta)):
+        problems.append("non-finite ability")
+    return problems
 
 
 def test_sweep_preserves_invariants():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dir_sampler import (ConfigError, ModelConstants, QuantitySummary, SamplerConfig,
-                         ValidationError, ability_coverage, fit, fit_online,
+from dir_sampler import (ConfigError, Dataset, ModelConstants, QuantitySummary,
+                         SamplerConfig, ValidationError, ability_coverage, fit, fit_online,
                          parameter_coverage, raw_score_estimate, simulate_dataset,
                          summarize)
 from dir_sampler.inference import read_traces_csv, write_traces_csv, _run_chain
@@ -149,7 +149,7 @@ def test_fit_summaries_are_ordered():
     out = fit(data, constants, SamplerConfig(n_iterations=60, burn_in=20, thin=2, seed=1))
     for s in out.summaries.values():
         assert np.all(s.q025 <= s.median) and np.all(s.median <= s.q975)
-    assert 0.0 <= parameter_coverage(out, truth) <= 1.0
+    assert 0.0 <= parameter_coverage(out.summaries, truth) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +157,16 @@ def test_fit_summaries_are_ordered():
 # ---------------------------------------------------------------------------
 
 def truncate(data, keep_days):
-    responses, difficulties, lapses = [], [], []
-    for i in range(data.n_individuals):
-        t_keep = min(keep_days, int(data.days[i]))
-        ind_r, ind_d, ind_l = [], [], []
-        for t, day in enumerate(range(data.day_start[i], data.day_start[i] + t_keep)):
-            ind_l.append(float(data.lapse[day]))
-            day_r, day_d = [], []
-            for test in range(data.test_start[day], data.test_start[day + 1]):
-                day_d.append(float(data.difficulty[test]))
-                day_r.append(data.response[data.item_start[test]:
-                                           data.item_start[test + 1]].tolist())
-            ind_r.append(day_r)
-            ind_d.append(day_d)
-        responses.append(ind_r)
-        difficulties.append(ind_d)
-        lapses.append(ind_l)
-    from dir_sampler import Dataset
-    return Dataset.from_nested(responses, difficulties, lapses, list(data.group))
+    """The first ``keep_days`` days of every individual."""
+    keep = np.minimum(data.days, keep_days)
+    day_in = (np.arange(data.n_days) - np.repeat(data.day_start[:-1], data.days)
+              < np.repeat(keep, data.days))
+    test_in = np.repeat(day_in, data.tests_per_day)
+    item_in = np.repeat(test_in, data.items_per_test)
+    return Dataset(days=keep, tests_per_day=data.tests_per_day[day_in],
+                   items_per_test=data.items_per_test[test_in],
+                   response=data.response[item_in], difficulty=data.difficulty[test_in],
+                   lapse=data.lapse[day_in], group=data.group)
 
 
 def online_config(seed=5):

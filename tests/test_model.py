@@ -29,6 +29,14 @@ def test_rejects_nonbinary_response():
         build_dataset([[[[2, 0], [0, 1]]]])
 
 
+@pytest.mark.parametrize("bad", [2, 256, -1, 0.5])
+def test_rejects_nonbinary_response_before_narrowing(bad):
+    # 256 would wrap to 0 in the uint8 response array
+    with pytest.raises(DataError, match="0 or 1"):
+        Dataset(days=[1], tests_per_day=[1], items_per_test=[2],
+                response=np.array([1, bad]), difficulty=[0.0], lapse=[1.0], group=["g"])
+
+
 def test_rejects_mismatched_difficulty_shape():
     with pytest.raises(DataError):
         build_dataset([[[[1, 0], [0, 1]]]], difficulties=[[[0.0]]])
@@ -44,15 +52,6 @@ def test_counts_and_offsets():
     assert list(data.day_start) == [0, 2, 5]
 
 
-def test_with_responses_shares_structure():
-    data = build_dataset([proper_individual(2), proper_individual(2)])
-    flipped = data.with_responses(1 - data.response)
-    assert flipped.n_items == data.n_items
-    assert np.array_equal(flipped.response, 1 - data.response)
-    assert flipped.test_start is data.test_start or np.array_equal(
-        flipped.test_start, data.test_start)
-
-
 def test_individual_prefix():
     data = build_dataset([proper_individual(4), proper_individual(2)])
     sub = data.individual_prefix(0, 2)
@@ -60,6 +59,118 @@ def test_individual_prefix():
     assert list(sub.days) == [2]
     assert sub.n_items == 8
     assert np.array_equal(sub.response, data.response[:8])
+
+
+# ---------------------------------------------------------------------------
+# building from key columns
+# ---------------------------------------------------------------------------
+
+@st.composite
+def random_dataset(draw):
+    n = draw(st.integers(1, 4))
+    individuals = []
+    for _ in range(n):
+        days = draw(st.integers(1, 3))
+        block = []
+        for _ in range(days):
+            tests = draw(st.integers(1, 3))
+            day = []
+            for _ in range(tests):
+                items = draw(st.integers(1, 3))
+                day.append([draw(st.integers(0, 1)) for _ in range(items)])
+            block.append(day)
+        individuals.append(block)
+    return individuals
+
+
+def key_table(blocks):
+    """Key-column rows (individual, day, test, item, response, difficulty)
+    and lapse rows (individual, day, lapse) for nested response blocks; the
+    difficulty and lapse of each test and day are distinct."""
+    rows = [(i, t, s, l, r, i + 0.1 * t + 0.01 * s)
+            for i, ind in enumerate(blocks) for t, day in enumerate(ind)
+            for s, test in enumerate(day) for l, r in enumerate(test)]
+    lapses = [(i, t, 1.0 + t + 0.5 * i)
+              for i, ind in enumerate(blocks) for t in range(len(ind))]
+    return rows, lapses
+
+
+def from_tables(rows, lapses, groups):
+    return Dataset.from_keys(*map(list, zip(*rows)), *map(list, zip(*lapses)), groups)
+
+
+def assert_same_dataset(a, b):
+    for name in ("days", "tests_per_day", "items_per_test", "response", "difficulty",
+                 "lapse", "day_start", "test_start", "item_start"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.group == b.group
+
+
+@given(random_dataset(), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_from_keys_matches_nested_build_in_any_row_order(blocks, rnd):
+    rows, lapses = key_table(blocks)
+    expected = build_dataset(
+        blocks,
+        difficulties=[[[i + 0.1 * t + 0.01 * s for s in range(len(day))]
+                       for t, day in enumerate(ind)] for i, ind in enumerate(blocks)],
+        lapses=[[1.0 + t + 0.5 * i for t in range(len(ind))]
+                for i, ind in enumerate(blocks)],
+        groups=[f"g{i}" for i in range(len(blocks))])
+    rnd.shuffle(rows)
+    rnd.shuffle(lapses)
+    assert_same_dataset(from_tables(rows, lapses, [f"g{i}" for i in range(len(blocks))]),
+                        expected)
+
+
+def _edit(rows, index, **changes):
+    names = ("individual", "day", "test", "item", "response", "difficulty")
+    row = dict(zip(names, rows[index]))
+    row.update(changes)
+    return rows[:index] + [tuple(row[n] for n in names)] + rows[index + 1:]
+
+
+# two individuals x 3 days x 2 tests x 2 items; rows[3] is (0, 0, 1, 1)
+BLOCKS = [proper_individual(), proper_individual()]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r, l: (r + [r[5]], l),
+     "duplicate response row for individual 1 day 2 test 1 item 2"),
+    (lambda r, l: (_edit(r, 3, item=2), l), "no item 2 for individual 1 day 1 test 2"),
+    (lambda r, l: ([x[:2] + (2,) + x[3:] if x[:3] == (0, 0, 1) else x for x in r], l),
+     "no test 2 for individual 1 day 1"),
+    (lambda r, l: ([x[:1] + (3,) + x[2:] if x[:2] == (0, 2) else x for x in r],
+                   [(0, 3, x) if (i, t) == (0, 2) else (i, t, x) for i, t, x in l]),
+     "no day 3 for individual 1"),
+    (lambda r, l: ([(2,) + x[1:] if x[0] == 1 else x for x in r],
+                   [(2, t, x) if i == 1 else (i, t, x) for i, t, x in l]),
+     "no individual 2"),
+    (lambda r, l: (_edit(r, 0, day=-1), l), "response keys must be >= 0"),
+    (lambda r, l: (_edit(r, 3, difficulty=9.0), l),
+     "inconsistent difficulty for individual 1 day 1 test 2"),
+    (lambda r, l: (r, l[1:]), "lapse rows not dense: no day 1 for individual 1"),
+    (lambda r, l: (r, [x for x in l if x[0] == 0]), "missing lapse for individual 2 day 1"),
+    (lambda r, l: (r, l[:-1]), "missing lapse for individual 2 day 3"),
+    (lambda r, l: (r, l + [(0, 3, 1.0)]),
+     "lapse row for individual 1 day 4 has no responses"),
+    (lambda r, l: (r, l + [l[2]]), "duplicate lapse row for individual 1 day 3"),
+])
+def test_from_keys_rejects_malformed_keys(edit, message):
+    rows, lapses = edit(*key_table(BLOCKS))
+    with pytest.raises(DataError, match=message):
+        from_tables(rows, lapses, ["g", "g"])
+
+
+def test_from_keys_rejects_empty_columns():
+    with pytest.raises(DataError, match="no responses"):
+        Dataset.from_keys([], [], [], [], [], [], [], [], [], [])
+
+
+def test_from_keys_rejects_group_count_mismatch():
+    rows, lapses = key_table(BLOCKS)
+    with pytest.raises(DataError, match="group"):
+        from_tables(rows, lapses, ["g"])
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +216,6 @@ def test_gate_shape_clause_needs_enough_tests():
     report = validate_dataset(build_dataset([ind, proper_individual()]))
     assert not report.passed
     assert CLAUSE_MULTITEST_DAYS in report.clauses
-
-
-@st.composite
-def random_dataset(draw):
-    n = draw(st.integers(1, 4))
-    individuals = []
-    for _ in range(n):
-        days = draw(st.integers(1, 3))
-        block = []
-        for _ in range(days):
-            tests = draw(st.integers(1, 3))
-            day = []
-            for _ in range(tests):
-                items = draw(st.integers(1, 3))
-                day.append([draw(st.integers(0, 1)) for _ in range(items)])
-            block.append(day)
-        individuals.append(block)
-    return individuals
 
 
 @given(random_dataset(), st.randoms())
