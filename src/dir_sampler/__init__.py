@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .distributions import (ks_cdf, ks_density, make_rng, sample_gamma, sample_ks,
-                            sample_truncated_normal)
+from .distributions import make_rng, sample_gamma, sample_ks, sample_truncated_normal
 from .errors import (ConfigError, DataError, DirSamplerError, NumericError,
                      ValidationError)
 from .ffbs import AbilityInputs, FilterState, backward_sample, forward_filter

@@ -3,8 +3,10 @@
 Config files are flat JSON; unknown keys are rejected so a typo in a
 constant cannot silently change a run.  Every output directory gets a
 manifest.json recording the resolved configuration, seed, and input
-checksums, sufficient to re-run bit-identically.  Exit codes: 0 ok,
-1 runtime error, 2 validation failure, 3 config error.
+checksums, sufficient to re-run bit-identically; a retrospective fit also
+writes run_report.json with each chain's wall time, sweep count and K-S
+acceptance rate.  Exit codes: 0 ok, 1 runtime error, 2 validation failure,
+3 config error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ DEFAULT_SIGMA = 0.7333
 DEFAULT_RHO = 0.1180
 DEFAULT_DELTA_TMAX = 14.0
 DEFAULT_GROUP_PRIOR = (0.0, 1.0)
+RUN_REPORT_FILE = "run_report.json"
 
 _SIM_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "growth",
              "day_effect_precision", "test_effect_precision", "drift_precision",
@@ -235,6 +238,11 @@ def cmd_fit(args, force_online: bool = False) -> int:
         pooled = inference._summaries(pooled_draws)
         inference.write_summary_csv(pooled, outputs[0].days, sp)
         written.append(sp)
+    report = out_dir / RUN_REPORT_FILE
+    report.write_text(json.dumps({"chains": [
+        {"wall_time_s": o.wall_time, "sweeps": o.n_iterations,
+         "ks_accept_rate": o.ks_accept_rate} for o in outputs]}, indent=2) + "\n")
+    written.append(report)
     _write_manifest(out_dir, "fit", resolved, checksums,
                     [p for p in written if p.parent == out_dir])
     print(f"fit complete: {chains} chain(s), {outputs[0].n_draws} draws each -> {out_dir}")

@@ -10,7 +10,7 @@ across platforms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+from scipy.special import erfc, erfcinv, kolmogi
 
 from .errors import NumericError
 
@@ -19,9 +19,6 @@ Rng = np.random.Generator
 # Standardized truncation point beyond which the one-sided sampler switches
 # from inverse-CDF to exponential rejection.
 _TAIL_SWITCH = 4.0
-# Alternating-series truncation: stop once a term's magnitude drops below
-# this (the alternating-series bound then caps the error at the same level).
-_SERIES_TOL = 1e-14
 _TINY = np.nextafter(0.0, 1.0)
 
 
@@ -115,135 +112,12 @@ def sample_gamma(rng: Rng, shape, rate):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _ks_series(x: np.ndarray, coef_fn, sign_start: float):
-    """Alternating series sum_k sign_k * coef_fn(k, x) * exp(-2 k^2 x^2).
-
-    Uses the recurrence exp(-2 k^2 x^2) = exp(-2 (k-1)^2 x^2) * q^(2k-1)
-    with q = exp(-2 x^2), so only one exp evaluation per call is needed.
-    Terms are added until every element's term magnitude is below the
-    truncation tolerance.
-    """
-    q = np.exp(-2.0 * x * x)
-    q2 = q * q
-    e_k = q.copy()  # exp(-2 k^2 x^2) at k = 1
-    r_k = q.copy()  # q^(2k-1) at k = 1
-    total = np.zeros_like(x)
-    sign = sign_start
-    k = 1
-    while True:
-        term = coef_fn(k, x) * e_k
-        total += sign * term
-        if not np.any(term > _SERIES_TOL):
-            return total
-        k += 1
-        if k > 100_000:
-            raise NumericError("Kolmogorov-Smirnov series failed to converge")
-        sign = -sign
-        r_k = r_k * q2
-        e_k = e_k * r_k
-
-
-def ks_density(nu):
-    """Kolmogorov-Smirnov density 8 sum_k (-1)^(k+1) k^2 nu exp(-2 k^2 nu^2).
-
-    Zero for nu <= 0.  Below nu = 0.02 the true value is smaller than
-    1e-300, so 0 is returned without summing.
-    """
-    nu = np.asarray(nu, dtype=float)
-    scalar = nu.ndim == 0
-    nu = np.atleast_1d(nu)
-    out = np.zeros_like(nu)
-    live = nu > 0.02
-    if np.any(live):
-        x = nu[live]
-        val = _ks_series(x, lambda k, x: 8.0 * (k * k) * x, 1.0)
-        out[live] = np.maximum(val, 0.0)  # clip series cancellation noise
-    return float(out[0]) if scalar else out
-
-
-def ks_cdf(x):
-    """Kolmogorov-Smirnov CDF 1 - 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    live = x > 0.05  # below this the CDF underflows to exactly 0
-    if np.any(live):
-        val = 1.0 - _ks_series(x[live], lambda k, x: 2.0, 1.0)
-        out[live] = np.clip(val, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-_KS_KNOTS = 1024
-_ks_table: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _ks_inversion_table() -> tuple[np.ndarray, np.ndarray]:
-    global _ks_table
-    if _ks_table is None:
-        xs = np.linspace(0.0, 5.0, _KS_KNOTS)
-        cdf = np.maximum.accumulate(ks_cdf(xs))
-        _ks_table = (xs, cdf)
-    return _ks_table
-
-
-def _ks_cdf_fast(x: np.ndarray, n_terms: int, buf: dict) -> np.ndarray:
-    """CDF via a fixed-length series with preallocated buffers.
-
-    Only used inside the quantile bisection, where every input exceeds the
-    bracket floor that fixed ``n_terms`` was computed from.
-    """
-    q = buf["q"]
-    np.multiply(x, x, out=q)
-    q *= -2.0
-    np.exp(q, out=q)
-    q2, e_k, r_k, total = buf["q2"], buf["e"], buf["r"], buf["total"]
-    np.multiply(q, q, out=q2)
-    np.copyto(e_k, q)
-    np.copyto(r_k, q)
-    np.copyto(total, q)
-    sign = -1.0
-    for _ in range(n_terms - 1):
-        r_k *= q2
-        e_k *= r_k
-        if sign > 0:
-            total += e_k
-        else:
-            total -= e_k
-        sign = -sign
-    out = buf["out"]
-    np.multiply(total, -2.0, out=out)
-    out += 1.0
-    return out
-
-
 def sample_ks(rng: Rng, size=None):
-    """Draw from the Kolmogorov-Smirnov law by inverting the series CDF.
+    """Draw from the Kolmogorov-Smirnov law by inversion.
 
-    A 1024-knot monotone table brackets each uniform to one knot interval;
-    bisection then resolves the quantile to 1e-10.
+    ``kolmogi`` is the compiled inverse of the K-S survival function, so a
+    uniform u maps to kolmogi(1 - u); 1 - u is exact because the generator
+    returns multiples of 2^-53.
     """
-    xs, cdf = _ks_inversion_table()
-    u = rng.random(size)
-    scalar = np.ndim(u) == 0
-    u = np.atleast_1d(u)
-    hi_idx = np.searchsorted(cdf, u, side="right")
-    hi_idx = np.clip(hi_idx, 1, len(xs) - 1)
-    lo = xs[hi_idx - 1].copy()
-    hi = xs[hi_idx].copy()
-    # every midpoint stays inside its own one-knot bracket, so the series
-    # length needed for 1e-14 term truncation is fixed by the smallest lo
-    x_floor = max(float(lo.min()), 0.12)
-    n_terms = min(40, int(np.ceil(4.06 / x_floor)) + 1)
-    shape = lo.shape
-    buf = {k: np.empty(shape) for k in ("q", "q2", "e", "r", "total", "out")}
-    mid = np.empty(shape)
-    # knot spacing ~4.9e-3; 26 halvings reach the 1e-10 target with margin
-    for _ in range(30):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        below = _ks_cdf_fast(mid, n_terms, buf) <= u
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
-    out = np.maximum(0.5 * (lo + hi), _TINY)
-    return float(out[0]) if scalar else out
+    out = np.maximum(kolmogi(1.0 - rng.random(size)), _TINY)
+    return float(out) if np.ndim(out) == 0 else out

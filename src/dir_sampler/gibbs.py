@@ -28,7 +28,8 @@ class SweepWorkspace:
     gather indices between the item/test/day/individual levels, reduceat
     boundaries, the truncated lapses, per-individual prior parameters, and
     the blockwise machinery for the sum-zero test-effect draw (grouped by
-    tests-per-day so each group solves one batched SPD system).
+    tests-per-day so each group solves one batched SPD system).  Also counts
+    the mixture-scale proposals and acceptances for the run report.
     """
 
     def __init__(self, data: Dataset, constants: ModelConstants,
@@ -75,6 +76,8 @@ class SweepWorkspace:
 
         self.tests_per_individual = np.add.reduceat(data.tests_per_day, data.day_start[:-1])
         self.psi = np.empty(data.n_items)
+        self.ks_proposals = 0
+        self.ks_accepted = 0
 
     def refresh_obs_precision(self, state: LatentState) -> None:
         """psi = 1/(4 nu^2 + sigma^2) for the current mixture scales."""
@@ -278,6 +281,8 @@ def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None
         - 0.5 * resid * resid * (1.0 / s_new - 1.0 / s_old)
     accept = rng.random(work.data.n_items) < np.exp(np.minimum(log_ratio, 0.0))
     state.ks_scale[accept] = proposal[accept]
+    work.ks_proposals += accept.size
+    work.ks_accepted += int(np.count_nonzero(accept))
     work.refresh_obs_precision(state)
 
 

@@ -49,6 +49,7 @@ class ChainOutput:
     seed: int
     mode: str
     wall_time: float
+    ks_accept_rate: float       # accepted share of the mixture-scale proposals
 
     @property
     def n_draws(self) -> int:
@@ -116,7 +117,8 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     output = ChainOutput(
         **draws, summaries=_summaries(draws), days=data.days.copy(),
         n_iterations=config.n_iterations, burn_in=burn, thin=config.thin, seed=config.seed,
-        mode=config.mode, wall_time=time.perf_counter() - start)
+        mode=config.mode, wall_time=time.perf_counter() - start,
+        ks_accept_rate=work.ks_accepted / work.ks_proposals)
     return output, state
 
 

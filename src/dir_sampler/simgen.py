@@ -219,36 +219,68 @@ def write_truth_csv(truth: SimTruth, out_dir) -> Path:
 
 def read_truth_csv(path) -> SimTruth:
     """Read back what ``write_truth_csv`` stores (realized effects are not
-    round-tripped; they come back empty)."""
-    theta: dict = {}
+    round-tripped; they come back empty).  A malformed file raises
+    ``DataError`` naming it, and the 1-based line for a bad row."""
+    header = ["quantity", "individual", "day", "value"]
+    theta_rows = []  # (individual, day, value, line)
     per_indiv: dict = {"growth": {}, "day_effect_precision": {},
                        "test_effect_precision": {}}
     drift = None
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["quantity", "individual", "day", "value"]:
-            raise DataError(f"{path}: unexpected truth header")
+        got = next(reader, None)
+        if got is None:
+            raise DataError(f"{path}: empty file")
+        if got != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
         for row in reader:
             if not row:
                 continue
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
             quantity, indiv, day, value = row
-            if quantity == "theta":
-                theta[(int(indiv) - 1, int(day))] = float(value)
-            elif quantity in per_indiv:
-                per_indiv[quantity][int(indiv) - 1] = float(value)
-            elif quantity == "drift_precision":
-                drift = float(value)
-            else:
-                raise DataError(f"{path}: unknown truth quantity {quantity!r}")
+            try:
+                if quantity == "drift_precision":
+                    drift = float(value)
+                    continue
+                i = int(indiv) - 1
+                if i < 0:
+                    raise DataError(f"{where}: individual must be >= 1, got {indiv}")
+                if quantity == "theta":
+                    if int(day) < 0:
+                        raise DataError(f"{where}: day must be >= 0, got {day}")
+                    theta_rows.append((i, int(day), float(value), reader.line_num))
+                elif quantity in per_indiv:
+                    if i in per_indiv[quantity]:
+                        raise DataError(f"{where}: duplicate {quantity} row for "
+                                        f"individual {indiv}")
+                    per_indiv[quantity][i] = float(value)
+                else:
+                    raise DataError(f"{where}: unknown truth quantity {quantity!r}")
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
     if drift is None:
         raise DataError(f"{path}: missing drift_precision row")
-    n = max(i for i, _ in theta) + 1
-    days = np.array([max(t for j, t in theta if j == i) for i in range(n)])
+    if not theta_rows:
+        raise DataError(f"{path}: no theta rows")
+    indiv, day, value, line = (np.array(col) for col in zip(*theta_rows))
+    days = np.zeros(indiv.max() + 1, dtype=np.int64)
+    np.maximum.at(days, indiv, day)
     starts = _offsets(days + 1)
+    slot = starts[indiv] + day
+    filled, first = np.unique(slot, return_index=True)
+    if first.size < slot.size:
+        k = np.setdiff1d(np.arange(slot.size), first)[0]  # earliest repeated row
+        raise DataError(f"{path} line {line[k]}: duplicate theta row for individual "
+                        f"{indiv[k] + 1} day {day[k]}")
+    if filled.size < starts[-1]:
+        gap = int(np.setdiff1d(np.arange(starts[-1]), filled)[0])
+        i = int(np.searchsorted(starts, gap, side="right")) - 1
+        raise DataError(f"{path}: no theta row for individual {i + 1} day {gap - starts[i]}")
+    n = len(days)
     flat = np.empty(int(starts[-1]))
-    for (i, t), val in theta.items():
-        flat[starts[i] + t] = val
+    flat[slot] = value
 
     def vec(name):
         d = per_indiv[name]

@@ -1,5 +1,7 @@
 """The dir-sampler command line: exit codes and messages for malformed input."""
 
+import json
+
 import pytest
 
 from dir_sampler import cli, write_dataset_csv
@@ -125,3 +127,62 @@ def test_summarize_rewrites_the_fit_summary_byte_for_byte(data_dir, tmp_path, ca
     assert code == 0
     assert ((tmp_path / "again" / "summary.csv").read_bytes()
             == (fit_dir / "summary.csv").read_bytes())
+
+
+@pytest.fixture
+def fit_dir(data_dir, tmp_path, capsys):
+    path = tmp_path / "fit"
+    code, _ = run(capsys, "fit", data_dir, "--iterations", 30, "--burn-in", 10,
+                  "--thin", 2, "--seed", 3, "-o", path)
+    assert code == 0
+    return path
+
+
+def truth_lines():
+    """A well-formed truth.csv for the two individuals x 3 days of data_dir."""
+    lines = ["quantity,individual,day,value"]
+    lines += [f"theta,{i},{t},0.{t}" for i in (1, 2) for t in range(4)]
+    lines += [f"{name},{i},,1.5" for name in ("growth", "day_effect_precision",
+                                              "test_effect_precision") for i in (1, 2)]
+    return lines + ["drift_precision,,,400"]
+
+
+def test_summarize_scores_coverage_with_truth(fit_dir, capsys):
+    (fit_dir / "truth.csv").write_text("\n".join(truth_lines()) + "\n")
+    code, _ = run(capsys, "summarize", fit_dir)
+    assert code == 0
+    assert (fit_dir / "coverage.csv").read_text().startswith("individual,coverage\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls[:6] + ["growth,1"] + ls[6:], "line 7: expected 4 fields, got 2"),
+    (lambda ls: ls[:3] + ["theta,1,2,abc"] + ls[4:], "line 4: could not convert"),
+    (lambda ls: ls[:3] + ["theta,x,2,0.5"] + ls[4:], "line 4: invalid literal for int()"),
+    (lambda ls: ls[:9] + ["growth,1,,y"] + ls[10:], "line 10: could not convert"),
+    (lambda ls: ls[:5] + ls[3:4] + ls[5:], "line 6: duplicate theta row for individual 1 "
+                                           "day 2"),
+    (lambda ls: ls[:6] + ls[7:], "no theta row for individual 2 day 1"),
+    (lambda ls: ls[:10] + ls[9:], "line 11: duplicate growth row for individual 1"),
+    (lambda ls: [], "truth.csv: empty file"),
+], ids=["short-row", "bad-value", "bad-key", "bad-growth-value", "duplicate-theta",
+        "missing-theta-day", "duplicate-growth", "empty-file"])
+def test_summarize_rejects_bad_truth(fit_dir, capsys, edit, message):
+    lines = edit(truth_lines())
+    (fit_dir / "truth.csv").write_text("".join(line + "\n" for line in lines))
+    code, err = run(capsys, "summarize", fit_dir)
+    assert code == 1
+    assert "truth.csv" in err and message in err
+
+
+@pytest.mark.parametrize("chains", [1, 2])
+def test_fit_writes_run_report(data_dir, tmp_path, capsys, chains):
+    out = tmp_path / "fit"
+    code, _ = run(capsys, "fit", data_dir, "--iterations", 30, "--burn-in", 10,
+                  "--thin", 2, "--chains", chains, "-o", out)
+    assert code == 0
+    report = json.loads((out / "run_report.json").read_text())["chains"]
+    assert len(report) == chains
+    for chain in report:
+        assert chain["sweeps"] == 30 and chain["wall_time_s"] > 0.0
+        assert 0.0 < chain["ks_accept_rate"] <= 1.0
+    assert "run_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]

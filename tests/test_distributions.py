@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from dir_sampler import (ks_cdf, ks_density, make_rng, sample_gamma, sample_ks,
-                         sample_truncated_normal)
+from dir_sampler import make_rng, sample_gamma, sample_ks, sample_truncated_normal
 
 from conftest import mc_se_mean
 
@@ -104,6 +103,67 @@ def test_gamma_rejects_bad_arguments():
 # Kolmogorov-Smirnov law
 # ---------------------------------------------------------------------------
 
+# Alternating-series truncation: stop once a term's magnitude drops below
+# this (the alternating-series bound then caps the error at the same level).
+SERIES_TOL = 1e-14
+
+
+def ks_series(x: np.ndarray, coef_fn, sign_start: float):
+    """Alternating series sum_k sign_k * coef_fn(k, x) * exp(-2 k^2 x^2).
+
+    Uses the recurrence exp(-2 k^2 x^2) = exp(-2 (k-1)^2 x^2) * q^(2k-1)
+    with q = exp(-2 x^2), so only one exp evaluation per call is needed.
+    Terms are added until every element's term magnitude is below the
+    truncation tolerance.
+    """
+    q = np.exp(-2.0 * x * x)
+    q2 = q * q
+    e_k = q.copy()  # exp(-2 k^2 x^2) at k = 1
+    r_k = q.copy()  # q^(2k-1) at k = 1
+    total = np.zeros_like(x)
+    sign = sign_start
+    for k in range(1, 100_000):
+        term = coef_fn(k, x) * e_k
+        total += sign * term
+        if not np.any(term > SERIES_TOL):
+            return total
+        sign = -sign
+        r_k = r_k * q2
+        e_k = e_k * r_k
+    raise AssertionError("Kolmogorov-Smirnov series failed to converge")
+
+
+def ks_density(nu):
+    """Kolmogorov-Smirnov density 8 sum_k (-1)^(k+1) k^2 nu exp(-2 k^2 nu^2).
+
+    Zero for nu <= 0.  Below nu = 0.02 the true value is smaller than
+    1e-300, so 0 is returned without summing.
+    """
+    nu = np.asarray(nu, dtype=float)
+    scalar = nu.ndim == 0
+    nu = np.atleast_1d(nu)
+    out = np.zeros_like(nu)
+    live = nu > 0.02
+    if np.any(live):
+        x = nu[live]
+        val = ks_series(x, lambda k, x: 8.0 * (k * k) * x, 1.0)
+        out[live] = np.maximum(val, 0.0)  # clip series cancellation noise
+    return float(out[0]) if scalar else out
+
+
+def ks_cdf(x):
+    """Kolmogorov-Smirnov CDF 1 - 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2)."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.zeros_like(x)
+    live = x > 0.05  # below this the CDF underflows to exactly 0
+    if np.any(live):
+        val = 1.0 - ks_series(x[live], lambda k, x: 2.0, 1.0)
+        out[live] = np.clip(val, 0.0, 1.0)
+    return float(out[0]) if scalar else out
+
+
 def test_ks_density_zero_outside_support():
     assert ks_density(-1.0) == 0.0
     assert ks_density(0.0) == 0.0
@@ -160,6 +220,36 @@ def test_sample_ks_deterministic_and_scalar():
     b = sample_ks(make_rng(9), 1000)
     assert np.array_equal(a, b)
     assert isinstance(sample_ks(make_rng(9)), float)
+
+
+class FixedUniforms:
+    """Stands in for the generator: ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def test_sample_ks_far_tails_match_one_term_asymptotics():
+    # the extreme uniforms the generator can return, and 1e-12 in between;
+    # one term of each tail series is exact to double precision here:
+    # F(x) ~ sqrt(2 pi)/x exp(-pi^2/(8 x^2)) below 0.3, 1 - F(x) ~ 2 exp(-2 x^2)
+    # above 2.5
+    u = np.array([0.0, 2.0**-53, 9007 * 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    x = sample_ks(FixedUniforms(u), u.size)
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+    low = x < 0.3
+    assert np.count_nonzero(low) == 3
+    with np.errstate(divide="ignore"):  # u = 0 draws the smallest positive float
+        lower = np.exp(0.5 * np.log(2.0 * np.pi) - np.log(x[low])
+                       - np.pi**2 / (8.0 * x[low]**2))
+    assert lower == pytest.approx(u[low], rel=1e-6, abs=0.0)
+    high = x > 2.5
+    assert np.count_nonzero(high) == 1
+    assert 2.0 * np.exp(-2.0 * x[high]**2) == pytest.approx(1.0 - u[high], rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
