@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .distributions import make_rng, sample_gamma, sample_ks, sample_truncated_normal
 from .errors import (ConfigError, DataError, DirSamplerError, NumericError,
                      ValidationError)
-from .ffbs import AbilityInputs, FilterState, backward_sample, forward_filter
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .inference import (ChainOutput, CoverageResult, OnlineTrajectory, QuantitySummary,
                         RawScoreEstimate, ability_coverage, fit, fit_online,

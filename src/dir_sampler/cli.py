@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DirSamplerError, ValidationError
+from .errors import ConfigError, DataError, DirSamplerError, ValidationError
 from .model import (Dataset, ModelConstants, SamplerConfig, read_dataset_csv,
                     validate_dataset, write_dataset_csv,
                     GROUPS_FILE, LAPSES_FILE, RESPONSES_FILE)
@@ -283,6 +283,10 @@ def cmd_summarize(args) -> int:
     truth_path = in_dir / simgen.TRUTH_FILE
     if truth_path.exists():
         truth = simgen.read_truth_csv(truth_path)
+        truth_days = np.diff(truth.theta_start) - 1
+        if not np.array_equal(truth_days, days):
+            raise DataError(f"{truth_path}: theta days per individual "
+                            f"{truth_days.tolist()} do not match {traces}: {days.tolist()}")
         cov = inference.ability_coverage(summaries["theta"], truth.theta, days)
         param = inference.parameter_coverage(summaries, truth)
         print("ability coverage (95% interval vs truth):")

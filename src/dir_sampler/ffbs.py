@@ -1,154 +1,90 @@
-"""Block update of one individual's ability path.
+"""Block update of every individual's ability path in one banded draw.
 
-Conditional on everything else, the shifted ability lam_t = theta_t - 1/rho
-follows a scalar dynamic linear model: lam_t = g_t lam_{t-1} + w_t with
-w_t ~ N(0, lapse_t / drift_precision) and every item on day t contributing
-a pseudo-observation z = lam_t + noise of known precision.  The forward
-filter accumulates the day posteriors N(mu_t, V_t); the backward pass then
-draws the whole path from its joint Gaussian conditional.
+Given everything else, the shifted ability lam_t = theta_t - 1/rho follows
+lam_t = g_t lam_{t-1} + N(0, 1/w_t), with g_t = 1 - c rho min(lapse_t,
+horizon) and w_t = drift_precision / lapse_t, and each item on day t adds a
+pseudo-observation z ~ N(lam_t, 1/psi).  So the paths are jointly Gaussian
+with a tridiagonal precision Q and linear term b:
+
+    Q[t, t] = w_t + Sum_t psi + g_{t+1}^2 w_{t+1},   Q[t-1, t] = -g_t w_t,
+    b[t] = Sum_t psi z,   and 1/init_var, init_mean/init_var on day 0.
+
+Paths of different individuals do not interact.  ``filter_from_day_sums``
+factors Q = U'U (LAPACK dpbtrf) and solves y = U'^-1 b; ``backward_sample``
+returns U^-1 (y + eps) with eps ~ N(0, I), a draw from N(Q^-1 b, Q^-1)
+(Rue 2001, JRSS-B 63:325; Chan & Jeliazkov 2009, IJMMNO 1:101).  This is
+FFBS in matrix form: the factorisation runs forward over the days like the
+filter, the back substitution is the backward pass, and 1/U_kk^2 is the
+FFBS backward variance H_k (the filtered variance V_T on the last day).
+With the normals in theta order the draw is the FFBS draw up to rounding.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+import importlib.machinery
+import importlib.util
 
 import numpy as np
 
 from .distributions import Rng
 from .errors import NumericError
 
-# Variances are propagated directly (not precisions); anything at or below
-# this floor means the update has degenerated and we fail loudly.
-_VAR_FLOOR = 1e-300
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module, which ``scipy.linalg.lapack`` re-exports,
+    loaded on first use without the ``scipy.linalg`` package import: that
+    import loads a dozen extension modules unused here, 6 MiB resident, a
+    tenth of the peak memory of a CLI fit process (this costs 1.1 MiB)."""
+    linalg = importlib.util.find_spec("scipy.linalg")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", linalg.submodule_search_locations)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@dataclass(frozen=True)
-class AbilityInputs:
-    """One individual's slice of the quantities the path update conditions on.
-
-    Item-level arrays are flat over the individual's days;
-    ``item_day_start`` gives the first item index of each day (length T+1).
-    """
-
-    latent_utility: np.ndarray   # per item
-    difficulty: np.ndarray       # per item (test difficulty repeated per item)
-    day_effect: np.ndarray       # per item
-    test_effect: np.ndarray      # per item
-    obs_precision: np.ndarray    # per item, 1 / (4 ks_scale^2 + sigma^2)
-    item_day_start: np.ndarray   # (T+1,)
-    lapse: np.ndarray            # (T,)
-    lapse_trunc: np.ndarray      # (T,), lapse capped at the growth horizon
-    growth: float
-    drift_precision: float
-    init_mean: float             # group prior mean for theta at day 0
-    init_var: float              # group prior variance
-
-
-@dataclass
-class FilterState:
-    transition: np.ndarray    # g_t, (T,)
-    prior_mean: np.ndarray    # d_t, (T,)
-    prior_var: np.ndarray     # R_t, (T,)
-    post_mean: np.ndarray     # mu_t, (T+1,), index 0 = day-0 prior
-    post_var: np.ndarray      # V_t, (T+1,)
-    pseudo_obs: np.ndarray    # z per item (shifted residual the filter saw)
-    backward_mean: np.ndarray = field(default=None)  # h_t, (T,), set when sampled
-    backward_var: np.ndarray = field(default=None)   # H_t, (T,)
-
-
-def _check_var(v: float, what: str, day: int) -> None:
-    if not (v > _VAR_FLOOR) or not np.isfinite(v):
-        raise NumericError(f"{what} variance degenerate at day {day}: {v!r}")
+def _path_error(theta_start: np.ndarray, k: int, what: str) -> NumericError:
+    i = int(np.searchsorted(theta_start, k, side="right")) - 1
+    return NumericError(f"ability update, individual {i}: {what} at day "
+                        f"{k - theta_start[i]}")
 
 
 def filter_from_day_sums(prec_sum: np.ndarray, weighted_obs_sum: np.ndarray,
-                         lapse: np.ndarray, lapse_trunc: np.ndarray,
-                         growth: float, drift_precision: float, rho: float,
-                         init_mean: float, init_var: float) -> FilterState:
-    """Forward filter given per-day Sum(psi) and Sum(psi * z).
+                         transition: np.ndarray, system_precision: np.ndarray,
+                         init_mean: np.ndarray, init_var: np.ndarray,
+                         theta_start: np.ndarray, day_theta: np.ndarray):
+    """Factor Q and solve U'y = b for all paths at once.
 
-    This is the hot-loop entry point; ``forward_filter`` assembles the day
-    sums from item-level inputs and delegates here.
+    Per test day: Sum(psi), Sum(psi z), g and w, and the day's flat path
+    index ``day_theta``.  Per individual: the shifted day-0 prior mean and
+    variance, and the path offsets ``theta_start`` (n+1,).  Returns U in
+    LAPACK upper band storage (superdiagonal, diagonal) and y.
     """
-    t_total = len(lapse)
-    g = 1.0 - growth * rho * lapse_trunc
-    d = np.empty(t_total)
-    r = np.empty(t_total)
-    mu = np.empty(t_total + 1)
-    v = np.empty(t_total + 1)
-    mu[0] = init_mean - 1.0 / rho
-    v[0] = init_var
-    _check_var(v[0], "initial", 0)
-    g_list = g.tolist()
-    noise_var = (lapse / drift_precision).tolist()
-    prec_list = prec_sum.tolist()
-    obs_list = weighted_obs_sum.tolist()
-    mu_t, v_t = mu[0], v[0]
-    for t in range(t_total):
-        g_t = g_list[t]
-        d_t = g_t * mu_t
-        r_t = g_t * g_t * v_t + noise_var[t]
-        if not r_t > _VAR_FLOOR:
-            _check_var(r_t, "one-step prior", t + 1)
-        v_t = 1.0 / (prec_list[t] + 1.0 / r_t)
-        mu_t = v_t * (d_t / r_t + obs_list[t])
-        d[t] = d_t
-        r[t] = r_t
-        mu[t + 1] = mu_t
-        v[t + 1] = v_t
-    if not np.all(np.isfinite(mu)):
-        bad = int(np.flatnonzero(~np.isfinite(mu))[0])
-        raise NumericError(f"filter mean non-finite at day {bad}")
-    return FilterState(transition=g, prior_mean=d, prior_var=r, post_mean=mu,
-                       post_var=v, pseudo_obs=None)
+    first = theta_start[:-1]
+    band = np.zeros((2, int(theta_start[-1])))
+    band[1, first] = 1.0 / init_var
+    band[1, day_theta] = system_precision + prec_sum
+    band[1, day_theta - 1] += transition * transition * system_precision
+    band[0, day_theta] = -transition * system_precision
+    lin = np.empty(band.shape[1])
+    lin[first] = init_mean / init_var
+    lin[day_theta] = weighted_obs_sum
+    finite = np.isfinite(band).all(axis=0) & np.isfinite(lin)
+    if not finite.all():
+        raise _path_error(theta_start, int(np.argmin(finite)),
+                          "path precision or pseudo-data not finite")
+    chol, info = _lapack().dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        raise _path_error(theta_start, info - 1, "path precision not positive definite")
+    y, _ = _lapack().dtbtrs(chol, lin, trans="T", overwrite_b=1)
+    return chol, y
 
 
-def forward_filter(inputs: AbilityInputs, rho: float) -> FilterState:
-    """Run the filter over one individual's days."""
-    z = (inputs.latent_utility + inputs.difficulty - inputs.day_effect
-         - inputs.test_effect - 1.0 / rho)
-    starts = inputs.item_day_start
-    prec_sum = np.add.reduceat(inputs.obs_precision, starts[:-1])
-    weighted = np.add.reduceat(inputs.obs_precision * z, starts[:-1])
-    filt = filter_from_day_sums(prec_sum, weighted, inputs.lapse, inputs.lapse_trunc,
-                                inputs.growth, inputs.drift_precision, rho,
-                                inputs.init_mean, inputs.init_var)
-    filt.pseudo_obs = z
-    return filt
-
-
-def backward_sample(rng: Rng, filt: FilterState, lapse: np.ndarray,
-                    drift_precision: float, rho: float) -> np.ndarray:
-    """Draw the ability path theta_0..theta_T from its joint conditional."""
-    t_total = len(filt.transition)
-    mu, v, g = filt.post_mean, filt.post_var, filt.transition
-    phi = drift_precision
-    noise = rng.standard_normal(t_total + 1).tolist()
-    lam = np.empty(t_total + 1)
-    h = np.empty(t_total)
-    cap_h = np.empty(t_total)
-    _check_var(v[t_total], "filtered", t_total)
-    lam_next = mu[t_total] + math.sqrt(v[t_total]) * noise[t_total]
-    lam[t_total] = lam_next
-    g_list, mu_list, v_list = g.tolist(), mu.tolist(), v.tolist()
-    inv_lapse = (phi / lapse).tolist()
-    for t in range(t_total - 1, -1, -1):
-        v_t = v_list[t]
-        if not v_t > _VAR_FLOOR:
-            _check_var(v_t, "filtered", t)
-        pull = inv_lapse[t] * g_list[t]  # transition at day t+1 uses g[t], lapse[t]
-        h_t = 1.0 / (pull * g_list[t] + 1.0 / v_t)
-        if not h_t > _VAR_FLOOR:
-            _check_var(h_t, "backward", t)
-        mean_t = h_t * (mu_list[t] / v_t + pull * lam_next)
-        lam_next = mean_t + math.sqrt(h_t) * noise[t]
-        lam[t] = lam_next
-        h[t] = mean_t
-        cap_h[t] = h_t
-    filt.backward_mean = h
-    filt.backward_var = cap_h
-    theta = lam + 1.0 / rho
-    if not np.all(np.isfinite(theta)):
+def backward_sample(rng: Rng, chol: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Draw all shifted paths lam = U^-1 (y + eps) at once."""
+    lam, _ = _lapack().dtbtrs(chol, y + rng.standard_normal(len(y)), overwrite_b=1)
+    if not np.all(np.isfinite(lam)):
         raise NumericError("sampled ability path contains non-finite values")
-    return theta
+    return lam

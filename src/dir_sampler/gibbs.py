@@ -6,6 +6,12 @@ precisions, the system-noise precision (retrospective mode only), and the
 per-item mixture scales.  Every update conditions on the current values of
 everything else, so the sweep leaves the joint posterior invariant.
 
+No update loops over individuals or days in Python.  The ability paths of
+all individuals are drawn together: their joint conditional has a
+tridiagonal precision, which one banded Cholesky factorisation and two
+triangular solves sample exactly (forward filtering, backward sampling in
+matrix form; see ``ffbs``).
+
 All conditionals are derived under the objective priors: flat on positive
 growth, and x^(-3/2) on each precision, which adds -1/2 to the gamma shape
 and nothing to the rate.
@@ -86,9 +92,6 @@ class SweepWorkspace:
         self.psi += self.constants.sigma ** 2
         np.reciprocal(self.psi, out=self.psi)
 
-    def theta_slice(self, i: int) -> slice:
-        return slice(self.theta_start[i], self.theta_start[i + 1])
-
     def item_mean(self, state: LatentState) -> np.ndarray:
         """Per-item latent-utility mean: theta - a + day effect + test effect."""
         return (state.theta[self.item_theta] - self.item_difficulty
@@ -110,24 +113,19 @@ def update_latent_utilities(rng: Rng, state: LatentState, work: SweepWorkspace) 
 
 
 def update_abilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
-    """Forward-filter / backward-sample each individual's ability path."""
-    data, rho = work.data, work.constants.rho
+    """Draw every individual's ability path at once from its joint Gaussian
+    conditional: one banded Cholesky factorisation of the tridiagonal path
+    precision and two triangular solves (see ``ffbs``)."""
+    rho = work.constants.rho
     z = (state.latent_utility + work.item_difficulty - state.day_effect[work.item_day]
          - state.test_effect[work.item_test] - 1.0 / rho)
     prec_sum = np.add.reduceat(work.psi, work.day_item_start)
     weighted = np.add.reduceat(work.psi * z, work.day_item_start)
-    for i in range(data.n_individuals):
-        lo, hi = data.day_start[i], data.day_start[i + 1]
-        lapse = data.lapse[lo:hi]
-        try:
-            filt = ffbs.filter_from_day_sums(
-                prec_sum[lo:hi], weighted[lo:hi], lapse, work.lapse_trunc[lo:hi],
-                float(state.growth[i]), state.drift_precision, rho,
-                float(work.init_mean[i]), float(work.init_var[i]))
-            path = ffbs.backward_sample(rng, filt, lapse, state.drift_precision, rho)
-        except NumericError as exc:
-            raise NumericError(f"ability update, individual {i}: {exc}") from exc
-        state.theta[work.theta_slice(i)] = path
+    transition = 1.0 - state.growth[work.day_individual] * rho * work.lapse_trunc
+    chol, y = ffbs.filter_from_day_sums(
+        prec_sum, weighted, transition, state.drift_precision * work.inv_lapse,
+        work.init_mean - 1.0 / rho, work.init_var, work.theta_start, work.day_theta)
+    state.theta[:] = ffbs.backward_sample(rng, chol, y) + 1.0 / rho
 
 
 def _growth_moments(state: LatentState, work: SweepWorkspace):

@@ -148,12 +148,12 @@ def ability_coverage(summary: QuantitySummary, truth_theta: np.ndarray,
     truth_theta = np.asarray(truth_theta, dtype=float)
     if len(summary.median) != len(truth_theta) or len(truth_theta) != int(np.sum(days + 1)):
         raise ValueError("summary and truth are not index-aligned")
-    starts = _offsets(np.asarray(days) + 1)
+    starts = _offsets(np.asarray(days) + 1)[:-1]
     hit = (summary.q025 <= truth_theta) & (truth_theta <= summary.q975)
-    per = np.array([hit[starts[i] + 1:starts[i + 1]].mean() for i in range(len(days))])
-    total = int(np.sum(days))
-    overall = float(sum(hit[starts[i] + 1:starts[i + 1]].sum() for i in range(len(days))) / total)
-    return CoverageResult(per_individual=per, overall=overall)
+    hit[starts] = False
+    hits = np.add.reduceat(hit, starts, dtype=np.int64)
+    return CoverageResult(per_individual=hits / days,
+                          overall=float(hits.sum() / np.sum(days)))
 
 
 def parameter_coverage(summaries: dict, truth) -> float:

@@ -33,6 +33,54 @@ def build_dataset(responses, difficulties=None, lapses=None, groups=None) -> Dat
                    lapse=[x for ind in lapses for x in ind], group=groups)
 
 
+class FixedNormals:
+    """Generator stand-in whose ``standard_normal`` returns a fixed vector."""
+
+    def __init__(self, eps):
+        self.eps = np.asarray(eps, dtype=float)
+
+    def standard_normal(self, size):
+        assert size == len(self.eps)
+        return self.eps.copy()
+
+
+def dense_posterior(data: Dataset, state, constants: ModelConstants, upto=None):
+    """Exact N(mean, cov) of every shifted path lam = theta - 1/rho.
+
+    Assembles the joint precision matrix densely, day by day and item by
+    item, from the prior, transition and observation terms, and inverts it.
+    With ``upto`` (one-individual data), only days 0..upto and their data.
+    """
+    rho = constants.rho
+    psi = 1.0 / (4.0 * state.ks_scale ** 2 + constants.sigma ** 2)
+    days = data.days if upto is None else [upto]
+    dim = int(np.sum(np.asarray(days) + 1))
+    prec = np.zeros((dim, dim))
+    lin = np.zeros(dim)
+    k = 0  # flat index of the individual's day 0
+    for i, t_total in enumerate(days):
+        init_mean, init_var = constants.prior_for(data.group[i])
+        prec[k, k] = 1.0 / init_var
+        lin[k] = (init_mean - 1.0 / rho) / init_var
+        for t in range(k + 1, k + t_total + 1):
+            d = data.day_start[i] + t - k - 1
+            g = 1.0 - state.growth[i] * rho * min(data.lapse[d], constants.delta_tmax)
+            w = state.drift_precision / data.lapse[d]
+            prec[t, t] += w
+            prec[t - 1, t - 1] += g * g * w
+            prec[t - 1, t] -= g * w
+            prec[t, t - 1] -= g * w
+            for s in range(data.test_start[d], data.test_start[d + 1]):
+                for j in range(data.item_start[s], data.item_start[s + 1]):
+                    z = (state.latent_utility[j] + data.difficulty[s] - state.day_effect[d]
+                         - state.test_effect[s] - 1.0 / rho)
+                    prec[t, t] += psi[j]
+                    lin[t] += psi[j] * z
+        k += t_total + 1
+    cov = np.linalg.inv(prec)
+    return cov @ lin, cov
+
+
 def mixed_two_test_day():
     """One day, two tests, each with one correct and one incorrect response."""
     return [[1, 0], [0, 1]]

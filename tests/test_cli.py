@@ -1,10 +1,18 @@
-"""The dir-sampler command line: exit codes and messages for malformed input."""
+"""The dir-sampler command line: exit codes and messages for malformed input,
+multi-chain pooling, and the benchmark's span tracer run on the CLI."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dir_sampler import cli, write_dataset_csv
+from dir_sampler import cli, inference, write_dataset_csv
 
 from conftest import build_dataset, proper_individual
 
@@ -34,6 +42,16 @@ def replace_field(path, line, field, text):
 def test_validate_accepts_written_dataset(data_dir, capsys):
     code, _ = run(capsys, "validate", data_dir)
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_propriety_gate_failure_exits_2(tmp_path, capsys, command):
+    data_dir = tmp_path / "one"
+    write_dataset_csv(build_dataset([proper_individual()]), data_dir)
+    extra = ["-o", tmp_path / "out"] if command == "fit" else []
+    code, err = run(capsys, command, data_dir, *extra)
+    assert code == 2
+    assert "dataset fails the propriety gate" in err and "n ≥ 2 (n = 1)" in err
 
 
 @pytest.mark.parametrize("file, line, field, text, message", [
@@ -164,8 +182,14 @@ def test_summarize_scores_coverage_with_truth(fit_dir, capsys):
     (lambda ls: ls[:6] + ls[7:], "no theta row for individual 2 day 1"),
     (lambda ls: ls[:10] + ls[9:], "line 11: duplicate growth row for individual 1"),
     (lambda ls: [], "truth.csv: empty file"),
+    (lambda ls: ls[:8] + ls[9:], "theta days per individual [3, 2] do not match"),
+    (lambda ls: ls[:11] + ["growth,3,,1.5"] + ls[11:], "incomplete growth rows"),
+    (lambda ls: ls + [line.replace(",2,", ",3,", 1) for line in ls
+                      if line.split(",")[1:2] == ["2"]],
+     "theta days per individual [3, 3, 3] do not match"),
 ], ids=["short-row", "bad-value", "bad-key", "bad-growth-value", "duplicate-theta",
-        "missing-theta-day", "duplicate-growth", "empty-file"])
+        "missing-theta-day", "duplicate-growth", "empty-file", "missing-last-theta-day",
+        "third-individual-growth", "third-individual"])
 def test_summarize_rejects_bad_truth(fit_dir, capsys, edit, message):
     lines = edit(truth_lines())
     (fit_dir / "truth.csv").write_text("".join(line + "\n" for line in lines))
@@ -186,3 +210,53 @@ def test_fit_writes_run_report(data_dir, tmp_path, capsys, chains):
         assert chain["sweeps"] == 30 and chain["wall_time_s"] > 0.0
         assert 0.0 < chain["ks_accept_rate"] <= 1.0
     assert "run_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
+    out = tmp_path / "fit"
+    code, _ = run(capsys, "fit", data_dir, "--iterations", 30, "--burn-in", 10,
+                  "--thin", 2, "--chains", 2, "-o", out)
+    assert code == 0
+    chains = [inference.read_traces_csv(out / f"chain_{k:02d}" / "traces.csv")
+              for k in (0, 1)]
+    starts = chains[0][1]
+    pooled = {name: np.concatenate([draws[name] for draws, _, _ in chains])
+              for name in chains[0][0]}
+    with (out / "summary.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == int(starts[-1]) + 3 * 2 + 1
+    for row in rows:
+        series = pooled[row["quantity"]]
+        if row["quantity"] == "theta":
+            series = series[:, starts[int(row["individual"]) - 1] + int(row["day"])]
+        elif row["individual"]:
+            series = series[:, int(row["individual"]) - 1]
+        want = np.quantile(series, (0.025, 0.5, 0.975))
+        assert [float(row[q]) for q in ("q025", "median", "q975")] == want.tolist()
+
+
+def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
+    """``perfbench/tracing.py`` wraps the two path-draw functions by name."""
+    root = Path(__file__).resolve().parents[1]
+    spans_path = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, str(root / "perfbench" / "tracing.py"), str(spans_path),
+                    "fit", str(data_dir), "--iterations", "12", "--burn-in", "4",
+                    "--thin", "2", "-o", str(tmp_path / "fit")],
+                   check=True, env=env, capture_output=True)
+    spans = json.loads(spans_path.read_text())["spans"]
+    name = {span_id: span_name for span_name, _, _, span_id, _ in spans}
+    parent = {span_id: up for _, _, _, span_id, up in spans}
+
+    def sweep_of(span_id):
+        while span_id is not None and name[span_id] != "gibbs.gibbs_sweep":
+            span_id = parent[span_id]
+        return span_id
+
+    sweeps = Counter(span_id for span_name, _, _, span_id, _ in spans
+                     if span_name == "gibbs.gibbs_sweep")
+    assert len(sweeps) == 12
+    for fn in ("ffbs.filter_from_day_sums", "ffbs.backward_sample"):
+        assert Counter(sweep_of(span_id) for span_name, _, _, span_id, _ in spans
+                       if span_name == fn) == sweeps

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from dir_sampler import (ConfigError, ModelConstants, NumericError, SweepWorkspace,
                          gibbs_sweep, initial_state, make_rng, sample_ks,
                          simulate_dataset)
-from dir_sampler import ffbs, gibbs
 from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
                                update_day_effects, update_drift_precision,
                                update_growth, update_ks_scales,
@@ -25,7 +24,8 @@ from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
                                update_test_effects, _growth_moments)
 from dir_sampler.simgen import SimConfig
 
-from conftest import build_dataset, mc_se_mean, mc_se_var, proper_individual
+from conftest import (FixedNormals, build_dataset, dense_posterior, mc_se_mean, mc_se_var,
+                      proper_individual)
 
 # sigma chosen so that ks_scale = 0.4 gives unit observation variance
 SIGMA_UNIT = 0.6
@@ -76,10 +76,10 @@ def test_latent_utility_half_normal_oracle():
 
 
 # ---------------------------------------------------------------------------
-# abilities (delegation to the path sampler)
+# abilities (one banded draw of every path)
 # ---------------------------------------------------------------------------
 
-def test_ability_update_delegates_to_path_sampler():
+def test_ability_update_matches_dense_oracle():
     data, truth = simulate_dataset(SimConfig(
         n_individuals=2, days=4, tests_per_day=2, items_per_test=3,
         growth=(0.004, 0.002), day_effect_precision=(1.5, 2.0),
@@ -89,35 +89,17 @@ def test_ability_update_delegates_to_path_sampler():
     constants = constants_for(data, sigma=0.7)
     work = SweepWorkspace(data, constants)
     state = initial_state(data)
+    state.growth[:] = truth.growth
+    state.drift_precision = truth.drift_precision
+    state.day_effect[:] = truth.day_effect
+    state.test_effect[:] = truth.test_effect
+    state.ks_scale[:] = np.random.default_rng(4).uniform(0.2, 1.0, data.n_items)
     work.refresh_obs_precision(state)
     state.latent_utility[:] = np.random.default_rng(3).normal(size=data.n_items)
 
-    expected = {}
-    rng = make_rng(77)
-    for i in range(2):
-        t0, t1 = data.test_start[data.day_start[i]], data.test_start[data.day_start[i + 1]]
-        i0, i1 = data.item_start[t0], data.item_start[t1]
-        d0, d1 = data.day_start[i], data.day_start[i + 1]
-        inputs = ffbs.AbilityInputs(
-            latent_utility=state.latent_utility[i0:i1],
-            difficulty=work.item_difficulty[i0:i1],
-            day_effect=state.day_effect[work.item_day[i0:i1]],
-            test_effect=state.test_effect[work.item_test[i0:i1]],
-            obs_precision=work.psi[i0:i1],
-            item_day_start=work.day_item_start[d0:d1] - i0,
-            lapse=data.lapse[d0:d1], lapse_trunc=work.lapse_trunc[d0:d1],
-            growth=float(state.growth[i]), drift_precision=state.drift_precision,
-            init_mean=0.0, init_var=1.0)
-        inputs = ffbs.AbilityInputs(**{
-            **vars(inputs),
-            "item_day_start": np.append(inputs.item_day_start, i1 - i0)})
-        filt = ffbs.forward_filter(inputs, constants.rho)
-        expected[i] = ffbs.backward_sample(rng, filt, inputs.lapse,
-                                           state.drift_precision, constants.rho)
-
-    update_abilities(make_rng(77), state, work)
-    for i in range(2):
-        assert np.array_equal(state.theta[work.theta_slice(i)], expected[i])
+    update_abilities(FixedNormals(np.zeros(len(state.theta))), state, work)
+    mean, _ = dense_posterior(data, state, constants)
+    np.testing.assert_allclose(state.theta, mean + 1.0 / constants.rho, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +133,7 @@ def test_growth_conditional_mean_recovers_exact_rate():
                                      lapses=[[2.0, 9.0, 17.0]])
     rho = work.constants.rho
     c_star = 0.0123
-    sl = work.theta_slice(0)
+    sl = slice(work.theta_start[0], work.theta_start[1])
     theta = state.theta[sl]
     theta[0] = -0.4
     for t in range(1, len(theta)):
