@@ -7,8 +7,7 @@ from .errors import (ConfigError, DataError, DirSamplerError, NumericError,
                      ValidationError)
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .inference import (ChainOutput, CoverageResult, OnlineTrajectory, QuantitySummary,
-                        RawScoreEstimate, ability_coverage, fit, fit_online,
-                        parameter_coverage, raw_score_estimate, summarize)
+                        ability_coverage, fit, fit_online, parameter_coverage, summarize)
 from .model import (Dataset, LatentState, ModelConstants, SamplerConfig,
                     ValidationReport, initial_state, read_dataset_csv, theta_offsets,
                     validate_dataset, write_dataset_csv)

@@ -3,10 +3,11 @@
 Config files are flat JSON; unknown keys are rejected so a typo in a
 constant cannot silently change a run.  Every output directory gets a
 manifest.json recording the resolved configuration, seed, and input
-checksums, sufficient to re-run bit-identically; a retrospective fit also
-writes run_report.json with each chain's wall time, sweep count and K-S
-acceptance rate.  Exit codes: 0 ok, 1 runtime error, 2 validation failure,
-3 config error.
+checksums, sufficient to re-run bit-identically.  A fit's manifest also
+records its data directory, where summarize finds the truth.csv that
+simulate wrote.  A retrospective fit also writes run_report.json with each
+chain's wall time, sweep count and K-S acceptance rate.  Exit codes: 0 ok,
+1 runtime error, 2 validation failure, 3 config error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -68,7 +70,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
-                    outputs: list) -> None:
+                    outputs: list, **fields) -> None:
     manifest = {
         "tool": "dir-sampler",
         "version": __version__,
@@ -76,6 +78,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         "config": config,
         "input_sha256": inputs,
         "outputs": sorted(str(p.name) for p in outputs),
+        **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -210,7 +213,8 @@ def cmd_fit(args, force_online: bool = False) -> int:
         trajectories = inference.fit_online(data, constants, config)
         path = out_dir / inference.ONLINE_FILE
         inference.write_online_csv(trajectories, path)
-        _write_manifest(out_dir, "fit --mode online", resolved, checksums, [path])
+        _write_manifest(out_dir, "fit --mode online", resolved, checksums, [path],
+                        data_dir=str(data_dir.resolve()))
         print(f"on-line trajectories for {data.n_individuals} individuals -> {path}")
         return 0
 
@@ -244,7 +248,8 @@ def cmd_fit(args, force_online: bool = False) -> int:
          "ks_accept_rate": o.ks_accept_rate} for o in outputs]}, indent=2) + "\n")
     written.append(report)
     _write_manifest(out_dir, "fit", resolved, checksums,
-                    [p for p in written if p.parent == out_dir])
+                    [p for p in written if p.parent == out_dir],
+                    data_dir=str(data_dir.resolve()))
     print(f"fit complete: {chains} chain(s), {outputs[0].n_draws} draws each -> {out_dir}")
     return 0
 
@@ -266,6 +271,31 @@ def _max_workers(chains: int) -> int:
 # summarize
 # ---------------------------------------------------------------------------
 
+def _fit_truth(traces_dir: Path) -> Path | None:
+    """truth.csv next to the traces, else in the data directory that the
+    fit's manifest names (in the traces directory, or its parent for a
+    chain_NN directory) while the dataset there has the fit's checksums."""
+    if (traces_dir / simgen.TRUTH_FILE).exists():
+        return traces_dir / simgen.TRUTH_FILE
+    fit_dir = traces_dir.parent if re.fullmatch(r"chain_\d+", traces_dir.name) else traces_dir
+    path = fit_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text()) if path.exists() else {}
+        truth = manifest.get("data_dir") and Path(manifest["data_dir"]) / simgen.TRUTH_FILE
+        if not (truth and truth.exists()):
+            return None
+        changed = [name for name, digest in manifest["input_sha256"].items()
+                   if not (truth.parent / name).is_file()
+                   or _sha256(truth.parent / name) != digest]
+    except (OSError, ValueError, TypeError, AttributeError, KeyError) as exc:
+        raise DataError(f"{path}: unreadable manifest ({exc!r})") from exc
+    if changed:
+        print(f"note: {', '.join(changed)} in {truth.parent} differ from what this fit "
+              "read; coverage not scored", file=sys.stderr)
+        return None
+    return truth
+
+
 def cmd_summarize(args) -> int:
     in_dir = Path(args.data_dir)
     traces = in_dir / inference.TRACES_FILE
@@ -280,8 +310,8 @@ def cmd_summarize(args) -> int:
     inference.write_summary_csv(summaries, days, sp)
     print(f"recomputed quantiles for {draws['theta'].shape[1]} ability points -> {sp}")
 
-    truth_path = in_dir / simgen.TRUTH_FILE
-    if truth_path.exists():
+    truth_path = _fit_truth(in_dir)
+    if truth_path is not None:
         truth = simgen.read_truth_csv(truth_path)
         truth_days = np.diff(truth.theta_start) - 1
         if not np.array_equal(truth_days, days):
@@ -340,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda a, _force=force: cmd_fit(a, force_online=_force))
 
     p = sub.add_parser("summarize", help="recompute quantiles (and coverage when "
-                                         "truth.csv is present) from traces")
+                                         "the fit's truth.csv is found) from traces")
     p.add_argument("data_dir")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_summarize)

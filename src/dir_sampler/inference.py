@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ConfigError, DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .model import (Dataset, LatentState, ModelConstants, SamplerConfig, _fmt, _offsets,
-                    initial_state, individual_propriety_failures, validate_dataset)
+                    initial_state, individual_propriety_failures, read_keyed_csv,
+                    validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
 
@@ -46,8 +47,6 @@ class ChainOutput:
     n_iterations: int
     burn_in: int
     thin: int
-    seed: int
-    mode: str
     wall_time: float
     ks_accept_rate: float       # accepted share of the mixture-scale proposals
 
@@ -60,13 +59,13 @@ class ChainOutput:
                 "day_effect_sd": self.day_effect_sd, "test_effect_sd": self.test_effect_sd}
 
 
-def summarize(draws: np.ndarray, quantiles=QUANTILES) -> np.ndarray:
-    """Empirical quantiles (linear interpolation between order statistics)
-    along the draw axis; shape (len(quantiles),) + draws.shape[1:]."""
+def summarize(draws: np.ndarray) -> np.ndarray:
+    """Empirical (2.5%, 50%, 97.5%) quantiles (linear interpolation between
+    order statistics) along the draw axis; shape (3,) + draws.shape[1:]."""
     draws = np.asarray(draws)
     if draws.size == 0:
         raise ValueError("cannot summarize an empty draw set")
-    return np.quantile(draws, quantiles, axis=0)
+    return np.quantile(draws, QUANTILES, axis=0)
 
 
 def _summaries(draws: dict) -> dict:
@@ -116,8 +115,8 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
              "day_effect_sd": day_sd, "test_effect_sd": test_sd}
     output = ChainOutput(
         **draws, summaries=_summaries(draws), days=data.days.copy(),
-        n_iterations=config.n_iterations, burn_in=burn, thin=config.thin, seed=config.seed,
-        mode=config.mode, wall_time=time.perf_counter() - start,
+        n_iterations=config.n_iterations, burn_in=burn, thin=config.thin,
+        wall_time=time.perf_counter() - start,
         ks_accept_rate=work.ks_accepted / work.ks_proposals)
     return output, state
 
@@ -253,100 +252,32 @@ def fit_online(data: Dataset, constants: ModelConstants,
 
 
 # ---------------------------------------------------------------------------
-# Raw-score ability estimate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RawScoreEstimate:
-    ability: float
-    saturated: bool
-
-
-def raw_score_estimate(difficulties, items_per_test, n_correct: int) -> RawScoreEstimate:
-    """Ability whose expected score on the day's tests equals the observed
-    score; all-correct / all-incorrect days clamp 6 logits beyond the
-    difficulty range and are flagged."""
-    difficulties = np.asarray(difficulties, dtype=float)
-    counts = np.asarray(items_per_test, dtype=float)
-    if difficulties.shape != counts.shape or difficulties.size == 0:
-        raise ValueError("need one difficulty per test and at least one test")
-    total = float(np.sum(counts))
-    if not (0 <= n_correct <= total):
-        raise ValueError("n_correct out of range")
-    if n_correct == 0:
-        return RawScoreEstimate(float(difficulties.min() - 6.0), True)
-    if n_correct == total:
-        return RawScoreEstimate(float(difficulties.max() + 6.0), True)
-
-    def expected(theta: float) -> float:
-        return float(np.sum(counts / (1.0 + np.exp(-(theta - difficulties)))))
-
-    lo = float(difficulties.min() - 6.0)
-    hi = float(difficulties.max() + 6.0)
-    while expected(lo) >= n_correct:
-        lo -= 6.0
-    while expected(hi) <= n_correct:
-        hi += 6.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if expected(mid) < n_correct:
-            lo = mid
-        else:
-            hi = mid
-    return RawScoreEstimate(0.5 * (lo + hi), False)
-
-
-# ---------------------------------------------------------------------------
 # CSV interfaces (1-based individuals in files; theta day 0 = initial ability)
 # ---------------------------------------------------------------------------
 
 TRACES_FILE = "traces.csv"
 SUMMARY_FILE = "summary.csv"
 ONLINE_FILE = "online.csv"
-
-
-def _quantity_rows(days: np.ndarray):
-    """Yield (quantity, individual-or-None, day-or-None, column) per scalar."""
-    theta_start = _offsets(np.asarray(days) + 1)
-    n = len(days)
-    for i in range(n):
-        lo, hi = theta_start[i], theta_start[i + 1]
-        for t, col in enumerate(range(lo, hi)):
-            yield "theta", i, t, col
-    for name in ("growth", "day_effect_sd", "test_effect_sd"):
-        for i in range(n):
-            yield name, i, None, i
-    yield "drift_sd", None, None, 0
+TRACES_HEADER = ("quantity", "individual", "day", "iteration", "value")
+SUMMARY_HEADER = ("quantity", "individual", "day", "q025", "median", "q975")
+TRACE_NAMES = ("theta", "growth", "day_effect_sd", "test_effect_sd", "drift_sd")
 
 
 def write_traces_csv(output: ChainOutput, path) -> None:
-
+    """Every kept draw of every scalar as (iteration, value) rows, in the
+    keyed layout of ``model.keyed_layout``."""
     iterations = output.burn_in + output.thin * np.arange(1, output.n_draws + 1)
-    draws = output.draw_arrays()
-    draws = {k: np.atleast_2d(v.T).T for k, v in draws.items()}
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["quantity", "individual", "day", "iteration", "value"])
-        for name, i, t, col in _quantity_rows(output.days):
-            series = draws[name][:, col]
-            ind = "" if i is None else i + 1
-            day = "" if t is None else t
-            for it, val in zip(iterations, series):
-                w.writerow([name, ind, day, int(it), _fmt(val)])
+    write_keyed_csv(path, TRACES_HEADER, TRACE_NAMES, output.days,
+                    (np.column_stack([iterations, column]) for name in TRACE_NAMES
+                     for column in np.atleast_2d(getattr(output, name).T)))
 
 
 def write_summary_csv(summaries: dict, days: np.ndarray, path) -> None:
-    """One row of (2.5%, 50%, 97.5%) quantiles per scalar, for individuals
-    with ``days`` test days each."""
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["quantity", "individual", "day", "q025", "median", "q975"])
-        for name, i, t, col in _quantity_rows(days):
-            s = summaries[name]
-            row = ["" if i is None else i + 1, "" if t is None else t]
-            w.writerow([name] + row + [_fmt(np.atleast_1d(s.q025)[col]),
-                                       _fmt(np.atleast_1d(s.median)[col]),
-                                       _fmt(np.atleast_1d(s.q975)[col])])
+    """One row of (2.5%, 50%, 97.5%) quantiles per scalar of individuals with
+    ``days`` test days each, in the keyed layout of ``model.keyed_layout``."""
+    write_keyed_csv(path, SUMMARY_HEADER, TRACE_NAMES, days, np.column_stack([
+        np.concatenate([np.atleast_1d(getattr(summaries[name], q)) for name in TRACE_NAMES])
+        for q in ("q025", "median", "q975")]))
 
 
 def write_online_csv(trajectories, path) -> None:
@@ -362,49 +293,17 @@ def write_online_csv(trajectories, path) -> None:
 
 
 def read_traces_csv(path):
-    """Read a trace file back into draw arrays.
-
-    Returns (draws dict, theta_start, days); draw order follows the stored
-    iteration numbers.  A malformed header, row or series raises
-    ``DataError`` naming the file, and the line for a row.
-    """
-    header = ["quantity", "individual", "day", "iteration", "value"]
-    series: dict = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise DataError(f"{path}: expected header {','.join(header)}")
-        for row in reader:
-            try:
-                quantity, ind, day, it, val = row
-                key = (quantity, int(ind) - 1 if ind else None, int(day) if day else None)
-                series.setdefault(key, []).append((int(it), float(val)))
-            except ValueError as exc:
-                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-
-    theta_keys = [(i, t) for quantity, i, t in series if quantity == "theta"]
-    if not theta_keys or any(None in key or min(key) < 0 for key in theta_keys):
-        raise DataError(f"{path}: theta rows need an individual >= 1 and a day >= 0")
-    days = np.zeros(max(i for i, _ in theta_keys) + 1, dtype=np.int64)
-    for i, t in theta_keys:
-        days[i] = max(days[i], t)
-    starts = _offsets(days + 1)
-    n_draws = len(series[("theta", *theta_keys[0])])
-
-    def column(quantity, i=None, t=None):
-        rows = sorted(series.get((quantity, i, t), ()))
-        if len(rows) != n_draws:
-            who = "" if i is None else f" individual {i + 1}"
-            when = "" if t is None else f" day {t}"
-            raise DataError(f"{path}: {len(rows)} draws of {quantity}{who}{when}, "
-                            f"expected {n_draws}")
-        return np.array([v for _, v in rows])
-
-    theta = np.empty((n_draws, int(starts[-1])))
-    for i in range(len(days)):
-        for t in range(days[i] + 1):
-            theta[:, starts[i] + t] = column("theta", i, t)
-    per_indiv = {name: np.column_stack([column(name, i) for i in range(len(days))])
-                 for name in ("growth", "day_effect_sd", "test_effect_sd")}
-    draws = {"theta": theta, **per_indiv, "drift_sd": column("drift_sd")}
-    return draws, starts, days
+    """Read a trace file back into draw arrays: (draws dict, theta_start,
+    days), the draws views of one buffer.  Every series must list the same
+    strictly increasing iterations; a malformed file raises ``DataError``."""
+    days, blocks, lines = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
+    iterations = blocks[0][0, :, 0]
+    if not np.all(np.diff(iterations) > 0):
+        raise DataError(f"{path} line {lines[0]}: iterations are not strictly increasing")
+    differ = np.concatenate([np.any(b[:, :, 0] != iterations, axis=1) for b in blocks])
+    if differ.any():
+        raise DataError(f"{path} line {lines[np.argmax(differ)]}: series iterations "
+                        "differ from those of the first series")
+    draws = {name: b[:, :, 1].T for name, b in zip(TRACE_NAMES, blocks)}
+    draws["drift_sd"] = draws["drift_sd"][:, 0]
+    return draws, _offsets(days + 1), days

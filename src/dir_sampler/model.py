@@ -8,14 +8,18 @@ in any row order: it lexsorts the keys, checks in numpy that they are
 unique and dense, and reads the counts off where the keys change.  The CSV
 reader parses its files into such columns, and the writer emits them from
 the offset tables.  All indices are 0-based internally; the CSV
-interchange format is 1-based.
+interchange format is 1-based.  The truth, trace and summary files share
+one keyed row layout, written and read by the code at the end of this
+module (see ``keyed_layout``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, groupby, islice, takewhile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -316,10 +320,6 @@ class SamplerConfig:
             if not (self.fixed_drift_sd > 0.0 and math.isfinite(self.fixed_drift_sd)):
                 raise ConfigError("fixed_drift_sd must be finite and > 0")
 
-    @property
-    def n_draws(self) -> int:
-        return (self.n_iterations - self.burn_in) // self.thin
-
 
 # ---------------------------------------------------------------------------
 # Posterior-propriety gate
@@ -343,10 +343,6 @@ class ValidationReport:
         if self.passed:
             return "pass"
         return "; ".join(f"{clause} [{detail}]" for clause, detail in self.failures)
-
-    @property
-    def clauses(self) -> tuple:
-        return tuple(clause for clause, _ in self.failures)
 
 
 def _mixed_test_count(data: Dataset, day: int) -> int:
@@ -473,10 +469,11 @@ def _parse(path: Path, lines: list, column, name: str, kind) -> np.ndarray:
     return values
 
 
-def _read_columns(path: Path, header: Sequence[str], kinds: Sequence) -> list:
-    """The columns of a CSV file's non-blank rows, each parsed by ``_parse``
-    with its kind, or kept as text for kind ``str``."""
-    rows, lines = [], []
+def _csv_rows(path: Path, header: Sequence[str]):
+    """Yield each non-blank row after the header, with its line number
+    appended; DataError names the file, and the line of a row at fault, for
+    a wrong header or field count and a file that cannot be opened, decoded
+    or parsed."""
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -484,18 +481,35 @@ def _read_columns(path: Path, header: Sequence[str], kinds: Sequence) -> list:
             if first is None or [h.strip() for h in first] != list(header):
                 raise DataError(f"{path}: expected header {','.join(header)}")
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path} line {reader.line_num}: expected "
-                                    f"{len(header)} fields, got {len(row)}")
-                rows.append(row)
-                lines.append(reader.line_num)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                if row:
+                    if len(row) != len(header):
+                        raise DataError(f"{path} line {reader.line_num}: expected "
+                                        f"{len(header)} fields, got {len(row)}")
+                    row.append(reader.line_num)
+                    yield row
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    columns = list(zip(*rows)) or [()] * len(header)
-    return [column if kind is str else _parse(path, lines, column, name, kind)
-            for column, name, kind in zip(columns, header, kinds)]
+
+
+_BLOCK_ROWS = 8192
+
+
+def _read_columns(path: Path, header: Sequence[str], kinds: Sequence) -> list:
+    """The columns of a CSV file's non-blank rows, each parsed by ``_parse``
+    with its kind, or kept as text for kind ``str``.  Rows are parsed in
+    blocks of ``_BLOCK_ROWS``, so at most one block is held as text."""
+    rows, blocks = _csv_rows(path, header), []
+    while True:
+        *columns, lines = list(zip(*islice(rows, _BLOCK_ROWS))) or [()] * (len(header) + 1)
+        blocks.append([column if kind is str else _parse(path, lines, column, name, kind)
+                       for column, name, kind in zip(columns, header, kinds)])
+        if len(lines) < _BLOCK_ROWS:
+            break
+    del columns, lines  # the last block's text, before the joined columns are built
+    return [list(chain.from_iterable(parts)) if kind is str else np.concatenate(parts)
+            for parts, kind in zip(zip(*blocks), kinds)]
 
 
 def read_dataset_csv(in_dir) -> Dataset:
@@ -516,3 +530,83 @@ def read_dataset_csv(in_dir) -> Dataset:
     order = np.argsort(group_key, kind="stable")
     _group_starts([group_key[order]], "group")
     return Dataset.from_keys(*responses, *lapses, [group[k] for k in order])
+
+
+# ---------------------------------------------------------------------------
+# Keyed files: truth.csv, traces.csv and summary.csv
+# ---------------------------------------------------------------------------
+
+def keyed_layout(days, names: Sequence[str]) -> list:
+    """The (quantity, individual, day) keys of a keyed file, in file order.
+
+    Truth, trace and summary files share this layout: each row is a key, as
+    three text fields, then values, and the rows of one key (a series) are
+    consecutive.  Of the five ``names``, the first has a series per
+    individual i and day t = 0..days[i], the next three one per individual
+    with an empty day, and the last one series with both fields empty;
+    individuals are 1-based.  Readers check that rows come in this order
+    instead of sorting them.
+    """
+    n = len(days)
+    keys = [(names[0], str(i + 1), str(t)) for i in range(n) for t in range(int(days[i]) + 1)]
+    keys += [(name, str(i + 1), "") for name in names[1:4] for i in range(n)]
+    return keys + [(names[4], "", "")]
+
+
+def _key_text(key) -> str:
+    quantity, individual, day = key
+    return (quantity + (f" individual {individual}" if individual else "")
+            + (f" day {day}" if day else ""))
+
+
+def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
+                    series) -> None:
+    """Write a keyed file: ``series`` yields the values of each series in
+    layout order, written as rows of ``len(header) - 3`` fields by ``_fmt``."""
+    width = len(header) - 3
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")  # the row end of csv.writer
+        for key, values in zip(keyed_layout(days, names), series, strict=True):
+            prefix = ",".join(key) + ","
+            fh.write("".join([prefix + ",".join(map(_fmt, row)) + "\r\n"
+                              for row in np.reshape(values, (-1, width)).tolist()]))
+
+
+def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
+    """Stream a keyed file into (days, blocks, lines): ``days`` inferred from
+    the first quantity's keys; per quantity, a float array of shape (series,
+    rows per series, len(header) - 3), views of one buffer; and the line
+    where each series starts.  Series out of layout order, missing or of
+    unequal length, and values that do not parse raise ``DataError``."""
+    path = Path(path)
+    buf, series, last = array("d"), [], None
+    try:
+        for row in _csv_rows(path, header):
+            if row[:3] != last:
+                last = row[:3]
+                series.append((tuple(last), row[-1], len(buf)))
+            buf.extend(map(float, row[3:-1]))
+    except ValueError as exc:
+        raise DataError(f"{path} line {row[-1]}: {exc}") from None
+    if not series or series[0][0][0] != names[0]:
+        raise DataError(f"{path}: expected {names[0]} rows first")
+    keys, lines, starts = zip(*series)
+    first = [key[1] for key in takewhile(lambda key: key[0] == names[0], keys)]
+    days = np.array([len(list(run)) - 1 for _, run in groupby(first)], dtype=np.int64)
+    layout = keyed_layout(days, names)
+    k = next((k for k, (got, want) in enumerate(zip(keys, layout)) if got != want),
+             min(len(keys), len(layout)))
+    if k < len(keys):
+        want = _key_text(layout[k]) if k < len(layout) else "the end of the file"
+        raise DataError(f"{path} line {lines[k]}: {_key_text(keys[k])} is out of "
+                        f"layout order, expected {want}")
+    if k < len(layout):
+        raise DataError(f"{path}: no rows for {_key_text(layout[k])}")
+    sizes = np.diff(starts, append=len(buf)) // (len(header) - 3)
+    k = np.argmax(sizes != sizes[0])
+    if sizes[k] != sizes[0]:
+        raise DataError(f"{path} line {lines[k]}: {_key_text(keys[k])} has {sizes[k]} "
+                        f"rows, expected {sizes[0]} as in the first series")
+    values = np.frombuffer(buf).reshape(len(keys), sizes[0], -1)
+    n = len(days)
+    return days, np.split(values, np.cumsum([len(keys) - 3 * n - 1, n, n, n])), lines

@@ -9,7 +9,6 @@ index-aligned with the dataset for coverage scoring.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,11 +17,14 @@ import numpy as np
 
 from .distributions import make_rng
 from .errors import ConfigError, DataError
-from .model import (Dataset, ModelConstants, _fmt, _offsets, theta_offsets,
-                    validate_dataset)
+from .model import (Dataset, ModelConstants, _offsets, read_keyed_csv, theta_offsets,
+                    validate_dataset, write_keyed_csv)
 
 SIM_GROUP = "sim"
 TRUTH_FILE = "truth.csv"
+TRUTH_HEADER = ("quantity", "individual", "day", "value")
+TRUTH_NAMES = ("theta", "growth", "day_effect_precision", "test_effect_precision",
+               "drift_precision")
 
 
 def paper_lapse_schedule(n_days: int) -> np.ndarray:
@@ -196,101 +198,26 @@ def simulate_dataset(cfg: SimConfig) -> tuple:
 
 
 def write_truth_csv(truth: SimTruth, out_dir) -> Path:
-    """Truth values needed for coverage scoring, one quantity per row."""
+    """Truth values needed for coverage scoring, one row per scalar in the
+    keyed layout of ``model.keyed_layout``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / TRUTH_FILE
-    n = len(truth.growth)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["quantity", "individual", "day", "value"])
-        for i in range(n):
-            lo, hi = truth.theta_start[i], truth.theta_start[i + 1]
-            for t, idx in enumerate(range(lo, hi)):
-                w.writerow(["theta", i + 1, t, _fmt(truth.theta[idx])])
-        for name, vec in (("growth", truth.growth),
-                          ("day_effect_precision", truth.day_effect_precision),
-                          ("test_effect_precision", truth.test_effect_precision)):
-            for i in range(n):
-                w.writerow([name, i + 1, "", _fmt(vec[i])])
-        w.writerow(["drift_precision", "", "", _fmt(truth.drift_precision)])
+    write_keyed_csv(path, TRUTH_HEADER, TRUTH_NAMES, np.diff(truth.theta_start) - 1,
+                    np.concatenate([truth.theta, truth.growth, truth.day_effect_precision,
+                                    truth.test_effect_precision, [truth.drift_precision]]))
     return path
 
 
 def read_truth_csv(path) -> SimTruth:
-    """Read back what ``write_truth_csv`` stores (realized effects are not
-    round-tripped; they come back empty).  A malformed file raises
-    ``DataError`` naming it, and the 1-based line for a bad row."""
-    header = ["quantity", "individual", "day", "value"]
-    theta_rows = []  # (individual, day, value, line)
-    per_indiv: dict = {"growth": {}, "day_effect_precision": {},
-                       "test_effect_precision": {}}
-    drift = None
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise DataError(f"{path}: empty file")
-        if got != header:
-            raise DataError(f"{path}: expected header {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path} line {reader.line_num}"
-            if len(row) != len(header):
-                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
-            quantity, indiv, day, value = row
-            try:
-                if quantity == "drift_precision":
-                    drift = float(value)
-                    continue
-                i = int(indiv) - 1
-                if i < 0:
-                    raise DataError(f"{where}: individual must be >= 1, got {indiv}")
-                if quantity == "theta":
-                    if int(day) < 0:
-                        raise DataError(f"{where}: day must be >= 0, got {day}")
-                    theta_rows.append((i, int(day), float(value), reader.line_num))
-                elif quantity in per_indiv:
-                    if i in per_indiv[quantity]:
-                        raise DataError(f"{where}: duplicate {quantity} row for "
-                                        f"individual {indiv}")
-                    per_indiv[quantity][i] = float(value)
-                else:
-                    raise DataError(f"{where}: unknown truth quantity {quantity!r}")
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
-    if drift is None:
-        raise DataError(f"{path}: missing drift_precision row")
-    if not theta_rows:
-        raise DataError(f"{path}: no theta rows")
-    indiv, day, value, line = (np.array(col) for col in zip(*theta_rows))
-    days = np.zeros(indiv.max() + 1, dtype=np.int64)
-    np.maximum.at(days, indiv, day)
-    starts = _offsets(days + 1)
-    slot = starts[indiv] + day
-    filled, first = np.unique(slot, return_index=True)
-    if first.size < slot.size:
-        k = np.setdiff1d(np.arange(slot.size), first)[0]  # earliest repeated row
-        raise DataError(f"{path} line {line[k]}: duplicate theta row for individual "
-                        f"{indiv[k] + 1} day {day[k]}")
-    if filled.size < starts[-1]:
-        gap = int(np.setdiff1d(np.arange(starts[-1]), filled)[0])
-        i = int(np.searchsorted(starts, gap, side="right")) - 1
-        raise DataError(f"{path}: no theta row for individual {i + 1} day {gap - starts[i]}")
-    n = len(days)
-    flat = np.empty(int(starts[-1]))
-    flat[slot] = value
-
-    def vec(name):
-        d = per_indiv[name]
-        if sorted(d) != list(range(n)):
-            raise DataError(f"{path}: incomplete {name} rows")
-        return np.array([d[i] for i in range(n)])
-
-    return SimTruth(theta=flat, growth=vec("growth"),
-                    day_effect_precision=vec("day_effect_precision"),
-                    test_effect_precision=vec("test_effect_precision"),
-                    drift_precision=drift,
+    """Read back what ``write_truth_csv`` stores (realized effects come back
+    empty).  Rows must follow the keyed layout, one row per series; a
+    malformed file raises ``DataError`` naming it, and any faulty line."""
+    days, blocks, _ = read_keyed_csv(path, TRUTH_HEADER, TRUTH_NAMES)
+    if blocks[0].shape[1] != 1:
+        raise DataError(f"{path}: {blocks[0].shape[1]} rows per series, expected 1")
+    theta, growth, day_precision, test_precision, drift = (b.ravel() for b in blocks)
+    return SimTruth(theta=theta, growth=growth, day_effect_precision=day_precision,
+                    test_effect_precision=test_precision, drift_precision=float(drift[0]),
                     day_effect=np.empty(0), test_effect=np.empty(0),
-                    item_deviation=np.empty(0), theta_start=starts)
+                    item_deviation=np.empty(0), theta_start=_offsets(days + 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,13 @@ def batch_means_se(x: np.ndarray, n_batches: int = 50) -> float:
     usable = (len(x) // n_batches) * n_batches
     batches = x[:usable].reshape(n_batches, -1).mean(axis=1)
     return float(np.std(batches, ddof=1) / np.sqrt(n_batches))
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,9 @@
 """The dir-sampler command line: exit codes and messages for malformed input,
-multi-chain pooling, and the benchmark's span tracer run on the CLI."""
+multi-chain pooling, manifests, coverage scoring, and the benchmark's span
+tracer run on the CLI."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -108,7 +110,7 @@ def test_missing_dataset_file_is_a_config_error(data_dir, capsys, tmp_path, comm
 
 def write_traces(path, header, rows):
     path.mkdir(parents=True, exist_ok=True)
-    (path / "traces.csv").write_text("\n".join([header, *rows]) + "\n")
+    (path / "traces.csv").write_text("\n".join([header, *rows]) + "\n", encoding="latin-1")
 
 
 def test_summarize_rejects_bad_traces_header(tmp_path, capsys):
@@ -116,6 +118,14 @@ def test_summarize_rejects_bad_traces_header(tmp_path, capsys):
     code, err = run(capsys, "summarize", tmp_path / "fit")
     assert code == 1
     assert "traces.csv: expected header quantity,individual,day,iteration,value" in err
+
+
+def test_summarize_rejects_undecodable_traces(tmp_path, capsys):
+    write_traces(tmp_path / "fit", "quantity,individual,day,iteration,value",
+                 ["theta,1,0,1,\xff"])
+    code, err = run(capsys, "summarize", tmp_path / "fit")
+    assert code == 1
+    assert "traces.csv: 'utf-8' codec can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("row, line", [("theta,1,0,x,0.5", 3), ("theta,1,0", 3),
@@ -133,7 +143,7 @@ def test_summarize_rejects_missing_series(tmp_path, capsys):
                  ["theta,1,0,1,0.5", "theta,1,1,1,0.7"])
     code, err = run(capsys, "summarize", tmp_path / "fit")
     assert code == 1
-    assert "0 draws of growth individual 1, expected 1" in err
+    assert "traces.csv: no rows for growth individual 1" in err
 
 
 def test_summarize_rewrites_the_fit_summary_byte_for_byte(data_dir, tmp_path, capsys):
@@ -175,27 +185,124 @@ def test_summarize_scores_coverage_with_truth(fit_dir, capsys):
 @pytest.mark.parametrize("edit, message", [
     (lambda ls: ls[:6] + ["growth,1"] + ls[6:], "line 7: expected 4 fields, got 2"),
     (lambda ls: ls[:3] + ["theta,1,2,abc"] + ls[4:], "line 4: could not convert"),
-    (lambda ls: ls[:3] + ["theta,x,2,0.5"] + ls[4:], "line 4: invalid literal for int()"),
+    (lambda ls: ls[:3] + ["theta,x,2,0.5"] + ls[4:],
+     "line 4: theta individual x day 2 is out of layout order"),
     (lambda ls: ls[:9] + ["growth,1,,y"] + ls[10:], "line 10: could not convert"),
-    (lambda ls: ls[:5] + ls[3:4] + ls[5:], "line 6: duplicate theta row for individual 1 "
-                                           "day 2"),
-    (lambda ls: ls[:6] + ls[7:], "no theta row for individual 2 day 1"),
-    (lambda ls: ls[:10] + ls[9:], "line 11: duplicate growth row for individual 1"),
-    (lambda ls: [], "truth.csv: empty file"),
+    (lambda ls: ls[:5] + ls[3:4] + ls[5:],
+     "line 6: theta individual 1 day 2 is out of layout order"),
+    (lambda ls: ls[:6] + ls[7:], "line 7: theta individual 2 day 2 is out of layout order, "
+                                 "expected theta individual 2 day 1"),
+    (lambda ls: ls[:10] + ls[9:], "line 10: growth individual 1 has 2 rows, expected 1"),
+    (lambda ls: [], "truth.csv: expected header quantity,individual,day,value"),
     (lambda ls: ls[:8] + ls[9:], "theta days per individual [3, 2] do not match"),
-    (lambda ls: ls[:11] + ["growth,3,,1.5"] + ls[11:], "incomplete growth rows"),
+    (lambda ls: ls[:11] + ["growth,3,,1.5"] + ls[11:],
+     "line 12: growth individual 3 is out of layout order, "
+     "expected day_effect_precision individual 1"),
     (lambda ls: ls + [line.replace(",2,", ",3,", 1) for line in ls
                       if line.split(",")[1:2] == ["2"]],
-     "theta days per individual [3, 3, 3] do not match"),
+     "line 17: theta individual 3 day 0 is out of layout order, "
+     "expected the end of the file"),
+    (lambda ls: ls[:3] + ["theta,1,2,\xff"] + ls[4:], "'utf-8' codec can't decode byte 0xff"),
 ], ids=["short-row", "bad-value", "bad-key", "bad-growth-value", "duplicate-theta",
         "missing-theta-day", "duplicate-growth", "empty-file", "missing-last-theta-day",
-        "third-individual-growth", "third-individual"])
+        "third-individual-growth", "third-individual", "undecodable"])
 def test_summarize_rejects_bad_truth(fit_dir, capsys, edit, message):
     lines = edit(truth_lines())
-    (fit_dir / "truth.csv").write_text("".join(line + "\n" for line in lines))
+    (fit_dir / "truth.csv").write_text("".join(line + "\n" for line in lines),
+                                       encoding="latin-1")
     code, err = run(capsys, "summarize", fit_dir)
     assert code == 1
     assert "truth.csv" in err and message in err
+
+
+def swap(lines, a, b, n):
+    """Swap the ``n`` lines starting at 1-based lines ``a`` and ``b`` >= a + n."""
+    a, b = a - 1, b - 1
+    return lines[:a] + lines[b:b + n] + lines[a + n:b] + lines[a:a + n] + lines[b + n:]
+
+
+def set_iteration(lines, line, iteration):
+    parts = lines[line - 1].split(",")
+    parts[3] = iteration
+    return lines[:line - 1] + [",".join(parts)] + lines[line:]
+
+
+# fit_dir keeps 10 draws of 15 series: line 2 starts theta individual 1 day 0,
+# line 12 day 1, line 22 day 2, line 3 holds iteration 14 and line 151 is the last
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: swap(ls, 12, 22, 10), "line 12: theta individual 1 day 2 is out of layout "
+                                      "order, expected theta individual 1 day 1"),
+    (lambda ls: ls[:14] + ls[15:] + ls[14:15], "line 151: theta individual 1 day 1 is out "
+                                               "of layout order, expected the end of the file"),
+    (lambda ls: swap(ls, 3, 4, 1), "line 2: iterations are not strictly increasing"),
+    (lambda ls: set_iteration(ls, 25, "17"), "line 22: series iterations differ from those "
+                                             "of the first series"),
+], ids=["shuffled-series", "shuffled-row", "decreasing-iterations", "other-iterations"])
+def test_summarize_rejects_traces_out_of_layout(fit_dir, capsys, edit, message):
+    path = fit_dir / "traces.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    code, err = run(capsys, "summarize", fit_dir)
+    assert code == 1
+    assert "traces.csv" in err and message in err
+
+
+FIT_ARGS = ("--iterations", 30, "--burn-in", 10, "--thin", 2, "--seed", 3)
+
+
+def test_fit_manifest_records_config_checksums_and_data_dir(data_dir, fit_dir):
+    manifest = json.loads((fit_dir / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "sigma": 0.7333, "rho": 0.118, "delta_tmax": 14.0, "group_prior": {"g": [0.0, 1.0]},
+        "iterations": 30, "burn_in": 10, "thin": 2, "seed": 3, "mode": "retrospective",
+        "drift_sd": None, "chains": 1}
+    assert manifest["input_sha256"] == {
+        name: hashlib.sha256((data_dir / name).read_bytes()).hexdigest()
+        for name in ("responses.csv", "lapses.csv", "groups.csv")}
+    assert manifest["data_dir"] == str(data_dir.resolve())
+
+
+@pytest.fixture
+def sim_dir(tmp_path, capsys):
+    """A simulated two-individual, four-day dataset with its truth.csv."""
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "n_individuals": 2, "days": 4, "tests_per_day": 2, "items_per_test": 4,
+        "growth": [0.004, 0.004], "day_effect_precision": [1.5, 1.5],
+        "test_effect_precision": [3.0, 3.0], "drift_precision": 400.0, "sigma": 0.7333,
+        "rho": 0.118, "delta_tmax": 14.0, "lapse_table": [[4.0] * 4] * 2, "seed": 0}))
+    path = tmp_path / "sim"
+    code, _ = run(capsys, "simulate", "--config", config, "-o", path)
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("chains", [1, 2])
+def test_summarize_scores_coverage_against_the_simulated_truth(sim_dir, tmp_path, capsys,
+                                                               chains):
+    """simulate -> fit -> summarize finds truth.csv through the fit's manifest,
+    for a single-chain fit and for one chain of a multi-chain fit."""
+    fit = tmp_path / "fit"
+    code, _ = run(capsys, "fit", sim_dir, *FIT_ARGS, "--chains", chains, "-o", fit)
+    assert code == 0
+    code, err = run(capsys, "summarize", fit / "chain_01" if chains > 1 else fit,
+                    "-o", tmp_path / "again")
+    assert code == 0 and err == ""
+    lines = (tmp_path / "again" / "coverage.csv").read_text().splitlines()
+    assert lines[0] == "individual,coverage" and len(lines) == 4
+
+
+def test_summarize_skips_coverage_when_the_dataset_changed(sim_dir, tmp_path, capsys):
+    fit = tmp_path / "fit"
+    code, _ = run(capsys, "fit", sim_dir, *FIT_ARGS, "-o", fit)
+    assert code == 0
+    code, _ = run(capsys, "simulate", "--config", tmp_path / "sim.json", "--seed", 1,
+                  "-o", sim_dir)
+    assert code == 0
+    code, err = run(capsys, "summarize", fit)
+    assert code == 0
+    assert f"in {sim_dir.resolve()} differ from what this fit read" in err
+    assert "coverage not scored" in err
+    assert not (fit / "coverage.csv").exists()
 
 
 @pytest.mark.parametrize("chains", [1, 2])
@@ -235,17 +342,21 @@ def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
         assert [float(row[q]) for q in ("q025", "median", "q975")] == want.tolist()
 
 
-def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
-    """``perfbench/tracing.py`` wraps the two path-draw functions by name."""
+def traced_spans(tmp_path, *cli_args) -> list:
+    """The spans of one CLI run under ``perfbench/tracing.py``."""
     root = Path(__file__).resolve().parents[1]
     spans_path = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, str(root / "perfbench" / "tracing.py"), str(spans_path),
-                    "fit", str(data_dir), "--iterations", "12", "--burn-in", "4",
-                    "--thin", "2", "-o", str(tmp_path / "fit")],
-                   check=True, env=env, capture_output=True)
-    spans = json.loads(spans_path.read_text())["spans"]
+                    *map(str, cli_args)], check=True, env=env, capture_output=True)
+    return json.loads(spans_path.read_text())["spans"]
+
+
+def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
+    """``perfbench/tracing.py`` wraps the two path-draw functions by name."""
+    spans = traced_spans(tmp_path, "fit", data_dir, "--iterations", 12, "--burn-in", 4,
+                         "--thin", 2, "-o", tmp_path / "fit")
     name = {span_id: span_name for span_name, _, _, span_id, _ in spans}
     parent = {span_id: up for _, _, _, span_id, up in spans}
 
@@ -260,3 +371,12 @@ def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
     for fn in ("ffbs.filter_from_day_sums", "ffbs.backward_sample"):
         assert Counter(sweep_of(span_id) for span_name, _, _, span_id, _ in spans
                        if span_name == fn) == sweeps
+
+
+def test_benchmark_tracer_sees_the_trace_read_and_summary_write(fit_dir, tmp_path):
+    """``perfbench/tracing.py`` wraps the keyed-file functions that summarize
+    calls through ``inference``."""
+    calls = Counter(span[0] for span in traced_spans(tmp_path, "summarize", fit_dir,
+                                                     "-o", tmp_path / "again"))
+    assert calls["inference.read_traces_csv"] == 1
+    assert calls["inference.write_summary_csv"] == 1

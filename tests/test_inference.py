@@ -1,4 +1,4 @@
-"""Summaries, coverage scoring, fit determinism, on-line prefixes, raw scores."""
+"""Summaries, coverage scoring, fit determinism, on-line prefixes, trace files."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from dir_sampler import (ConfigError, Dataset, ModelConstants, QuantitySummary,
                          SamplerConfig, ValidationError, ability_coverage, fit, fit_online,
-                         parameter_coverage, raw_score_estimate, simulate_dataset,
-                         summarize)
-from dir_sampler.inference import read_traces_csv, write_traces_csv, _run_chain
+                         parameter_coverage, simulate_dataset, summarize)
+from dir_sampler.inference import ChainOutput, read_traces_csv, write_traces_csv, _run_chain
 from dir_sampler.simgen import SimConfig, SimTruth
 
-from conftest import build_dataset, proper_individual
+from conftest import build_dataset, proper_individual, traced_peak
 
 
 def small_sim(seed=0, n=2, days=4):
@@ -37,10 +36,10 @@ def test_summarize_constant_draws():
 
 def test_summarize_linear_interpolation_convention():
     draws = np.arange(1.0, 101.0)[:, None]
-    q = summarize(draws, quantiles=(0.5,))
-    assert q[0, 0] == pytest.approx(50.5)
-    q25 = summarize(draws, quantiles=(0.25,))
-    assert q25[0, 0] == pytest.approx(25.75)  # type-7: 1 + 0.25 * 99
+    q = summarize(draws)
+    assert q[1, 0] == pytest.approx(50.5)
+    assert q[0, 0] == pytest.approx(3.475)  # type-7: 1 + 0.025 * 99
+    assert q[2, 0] == pytest.approx(97.525)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
@@ -141,7 +140,7 @@ def test_fit_deterministic_given_seed():
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.growth, b.growth)
     assert np.array_equal(a.drift_sd, b.drift_sd)
-    assert a.n_draws == config.n_draws == 10
+    assert a.n_draws == (80 - 40) // 4
 
 
 def test_fit_summaries_are_ordered():
@@ -208,45 +207,6 @@ def test_online_mode_fixes_drift_precision():
 
 
 # ---------------------------------------------------------------------------
-# raw-score estimate
-# ---------------------------------------------------------------------------
-
-def test_raw_score_symmetric_half_correct():
-    est = raw_score_estimate([0.0], [10], 5)
-    assert not est.saturated
-    assert est.ability == pytest.approx(0.0, abs=1e-9)
-
-
-def test_raw_score_saturation_clamps():
-    est = raw_score_estimate([-1.0, 1.0], [10, 10], 20)
-    assert est.saturated and est.ability == 7.0
-    est = raw_score_estimate([-1.0, 1.0], [10, 10], 0)
-    assert est.saturated and est.ability == -7.0
-
-
-def test_raw_score_matches_grid_scan_oracle():
-    difficulties = [-1.0, 1.0]
-    counts = [10, 10]
-    target = 14
-
-    def expected(theta):
-        return sum(k / (1.0 + np.exp(-(theta - a))) for a, k in zip(difficulties, counts))
-
-    grid = np.linspace(-8.0, 8.0, 2_000_001)
-    vals = 10.0 / (1.0 + np.exp(-(grid + 1.0))) + 10.0 / (1.0 + np.exp(-(grid - 1.0)))
-    root = grid[np.argmin(np.abs(vals - target))]
-    est = raw_score_estimate(difficulties, counts, target)
-    assert not est.saturated
-    assert est.ability == pytest.approx(root, abs=1e-5)
-    assert expected(est.ability) == pytest.approx(target, abs=1e-8)
-
-
-def test_raw_score_rejects_empty_day():
-    with pytest.raises(ValueError):
-        raw_score_estimate([], [], 0)
-
-
-# ---------------------------------------------------------------------------
 # trace CSV round trip
 # ---------------------------------------------------------------------------
 
@@ -259,3 +219,21 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(days, data.days)
     for name, arr in out.draw_arrays().items():
         assert np.array_equal(np.atleast_2d(draws[name].T).T, np.atleast_2d(arr.T).T), name
+
+
+def test_read_traces_csv_memory_is_bounded_by_its_arrays(tmp_path):
+    """A two-chain-cohort-sized trace file (200 individuals x 6 days: 2,001
+    series x 200 draws) reads back within 3x the bytes of the returned draws."""
+    rng = np.random.default_rng(0)
+    n, n_draws = 200, 200
+    draws = {"theta": rng.normal(size=(n_draws, 7 * n)), "drift_sd": rng.random(n_draws),
+             **{name: rng.random((n_draws, n))
+                for name in ("growth", "day_effect_sd", "test_effect_sd")}}
+    path = tmp_path / "traces.csv"
+    write_traces_csv(ChainOutput(**draws, summaries={}, days=np.full(n, 6),
+                                 n_iterations=400, burn_in=200, thin=1, wall_time=0.0,
+                                 ks_accept_rate=1.0), path)
+    (back, _, _), peak = traced_peak(read_traces_csv, path)
+    for name, arr in draws.items():
+        assert np.array_equal(back[name], arr), name
+    assert peak <= 3 * sum(arr.nbytes for arr in back.values())

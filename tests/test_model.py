@@ -1,5 +1,8 @@
 """Dataset structure, the propriety gate, configs, CSV interchange."""
 
+import csv
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,9 @@ from dir_sampler import (ConfigError, DataError, Dataset, ModelConstants,
                          simulate_dataset, validate_dataset, write_dataset_csv)
 from dir_sampler.model import (CLAUSE_DAYS, CLAUSE_MIXED, CLAUSE_MULTITEST_DAYS,
                                CLAUSE_N, CLAUSE_TEST_SHAPE)
-from dir_sampler.simgen import paper_default_config
+from dir_sampler.simgen import SimConfig, paper_default_config
 
-from conftest import build_dataset, proper_individual
+from conftest import build_dataset, proper_individual, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +180,14 @@ def test_from_keys_rejects_group_count_mismatch():
 # propriety gate
 # ---------------------------------------------------------------------------
 
+def clauses(report):
+    return [clause for clause, _ in report.failures]
+
+
 def test_gate_fails_single_individual():
     report = validate_dataset(build_dataset([proper_individual()]))
     assert not report.passed
-    assert CLAUSE_N in report.clauses
+    assert CLAUSE_N in clauses(report)
 
 
 def test_gate_passes_reference_simulation():
@@ -192,22 +199,22 @@ def test_gate_fails_all_correct_responses():
     all_correct = [[[1, 1], [1, 1]] for _ in range(3)]
     report = validate_dataset(build_dataset([all_correct, all_correct]))
     assert not report.passed
-    assert CLAUSE_MIXED in report.clauses
+    assert CLAUSE_MIXED in clauses(report)
 
 
 def test_gate_fails_single_day():
     data = build_dataset([[mixed := [[1, 0], [0, 1]]], [mixed, mixed]])
     report = validate_dataset(data)
     assert not report.passed
-    assert CLAUSE_DAYS in report.clauses
+    assert CLAUSE_DAYS in clauses(report)
 
 
 def test_gate_fails_single_test_days():
     one_test = [[[1, 0, 1]], [[0, 1, 1]], [[1, 0, 0]]]
     report = validate_dataset(build_dataset([one_test, proper_individual()]))
     assert not report.passed
-    assert CLAUSE_MULTITEST_DAYS in report.clauses
-    assert CLAUSE_TEST_SHAPE in report.clauses  # sum S - (T+1) = 3 - 4 < 0
+    assert CLAUSE_MULTITEST_DAYS in clauses(report)
+    assert CLAUSE_TEST_SHAPE in clauses(report)  # sum S - (T+1) = 3 - 4 < 0
 
 
 def test_gate_shape_clause_needs_enough_tests():
@@ -215,7 +222,7 @@ def test_gate_shape_clause_needs_enough_tests():
     ind = [[[1, 0], [0, 1]], [[1, 0]]]
     report = validate_dataset(build_dataset([ind, proper_individual()]))
     assert not report.passed
-    assert CLAUSE_MULTITEST_DAYS in report.clauses
+    assert CLAUSE_MULTITEST_DAYS in clauses(report)
 
 
 @given(random_dataset(), st.randoms())
@@ -309,3 +316,25 @@ def test_read_rejects_inconsistent_difficulty(tmp_path):
     (tmp_path / "responses.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError):
         read_dataset_csv(tmp_path)
+
+
+def test_read_dataset_csv_memory_is_bounded_by_its_columns(tmp_path):
+    """The reader holds at most one block of rows as text: its peak stays
+    within 3x the parsed int64/float64 columns plus one block of text."""
+    n, days = 100, 25
+    data, _ = simulate_dataset(SimConfig(
+        n_individuals=n, days=days, tests_per_day=2, items_per_test=10,
+        growth=np.full(n, 0.004), day_effect_precision=np.full(n, 1.5),
+        test_effect_precision=np.full(n, 3.0), drift_precision=400.0, sigma=0.7333,
+        rho=0.118, delta_tmax=14.0, lapse_table=np.full((n, days), 4.0), seed=0))
+    assert data.n_items >= 50_000
+    write_dataset_csv(data, tmp_path)
+    columns = 8 * (6 * data.n_items + 3 * data.n_days + data.n_individuals)
+
+    def one_block():  # the reader parses 8192 rows at a time
+        with (tmp_path / "responses.csv").open(newline="") as fh:
+            return list(enumerate(islice(csv.reader(fh), 8192)))
+    _, block = traced_peak(one_block)
+    back, peak = traced_peak(read_dataset_csv, tmp_path)
+    assert np.array_equal(back.response, data.response)
+    assert peak <= 3 * columns + block
