@@ -1,7 +1,7 @@
 """Command-line entry point: simulate / validate / fit / online / summarize.
 
-Config files are flat JSON; unknown keys are rejected so a typo in a
-constant cannot silently change a run.  Every output directory gets a
+Config files are flat JSON; unknown keys and mistyped values are rejected
+so a typo in a constant cannot silently change a run.  Every output directory gets a
 manifest.json recording the resolved configuration, seed, and input
 checksums, sufficient to re-run bit-identically.  A fit's manifest also
 records its data directory, where summarize finds the truth.csv that
@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +46,11 @@ _SIM_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "growth
              "init_var", "lapse_table", "seed"}
 _FIT_KEYS = {"sigma", "rho", "delta_tmax", "group_prior", "iterations", "burn_in",
              "thin", "seed", "mode", "drift_sd", "chains"}
+# scalar keys whose values must be JSON integers (not booleans) or numbers
+_INTEGER_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "iterations",
+                 "burn_in", "thin", "seed", "chains"}
+_NUMBER_KEYS = {"drift_precision", "sigma", "rho", "delta_tmax", "difficulty_halfwidth",
+                "init_mean", "init_var", "drift_sd"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +68,23 @@ def _load_config(path, allowed: set) -> dict:
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, val in cfg.items():
+        if key in _INTEGER_KEYS and type(val) is not int:
+            raise ConfigError(f"{key} must be an integer, got {json.dumps(val)}")
+        if (key in _NUMBER_KEYS and type(val) not in (int, float)
+                and (key, val) != ("drift_sd", None)):  # a null drift_sd is unset
+            raise ConfigError(f"{key} must be a number, got {json.dumps(val)}")
     return cfg
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a TypeError or ValueError raised while settings are built from
+    a config's ``what`` as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
 def _sha256(path: Path) -> str:
@@ -97,21 +119,18 @@ def _dataset_files(data_dir: Path) -> list:
 
 def cmd_simulate(args) -> int:
     overrides = _load_config(args.config, _SIM_KEYS) if args.config else {}
-    if args.paper_defaults:
-        cfg = simgen.paper_default_config(seed=overrides.get("seed", 0))
-        for key, val in overrides.items():
-            cfg = replace(cfg, **{key: val})
-    else:
-        required = {"n_individuals", "days", "tests_per_day", "items_per_test",
-                    "growth", "day_effect_precision", "test_effect_precision",
-                    "drift_precision", "sigma", "rho", "delta_tmax"}
-        missing = required - set(overrides)
-        if missing:
-            raise ConfigError("simulate needs --paper-defaults or a config with keys: "
-                              + ", ".join(sorted(missing)))
-        cfg = simgen.SimConfig(**overrides)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        overrides["seed"] = args.seed
+    required = {"n_individuals", "days", "tests_per_day", "items_per_test",
+                "growth", "day_effect_precision", "test_effect_precision",
+                "drift_precision", "sigma", "rho", "delta_tmax"}
+    missing = required - set(overrides)
+    if missing and not args.paper_defaults:
+        raise ConfigError("simulate needs --paper-defaults or a config with keys: "
+                          + ", ".join(sorted(missing)))
+    with _malformed("config value"):
+        cfg = (replace(simgen.paper_default_config(), **overrides) if args.paper_defaults
+               else simgen.SimConfig(**overrides))
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,17 +169,13 @@ def cmd_validate(args) -> int:
 
 def _constants_from(cfg: dict, data: Dataset) -> ModelConstants:
     prior_cfg = cfg.get("group_prior", {})
-    priors = {}
-    for label in set(data.group):
-        if str(label) in prior_cfg:
-            mu, v = prior_cfg[str(label)]
-            priors[label] = (float(mu), float(v))
-        else:
-            priors[label] = DEFAULT_GROUP_PRIOR
-    return ModelConstants(sigma=cfg.get("sigma", DEFAULT_SIGMA),
-                          rho=cfg.get("rho", DEFAULT_RHO),
-                          delta_tmax=cfg.get("delta_tmax", DEFAULT_DELTA_TMAX),
-                          group_prior=priors)
+    with _malformed("group_prior"):
+        priors = {label: tuple(map(float, prior_cfg[str(label)])) if str(label) in prior_cfg
+                  else DEFAULT_GROUP_PRIOR for label in set(data.group)}
+        return ModelConstants(sigma=cfg.get("sigma", DEFAULT_SIGMA),
+                              rho=cfg.get("rho", DEFAULT_RHO),
+                              delta_tmax=cfg.get("delta_tmax", DEFAULT_DELTA_TMAX),
+                              group_prior=priors)
 
 
 def _fit_one_chain(packed):
@@ -170,22 +185,15 @@ def _fit_one_chain(packed):
 
 def cmd_fit(args, force_online: bool = False) -> int:
     cfg = _load_config(args.config, _FIT_KEYS) if args.config else {}
-    for key, flag in (("iterations", "iterations"), ("burn_in", "burn_in"),
-                      ("thin", "thin"), ("seed", "seed"), ("mode", "mode"),
-                      ("drift_sd", "drift_sd"), ("chains", "chains")):
-        val = getattr(args, flag, None)
+    for key in ("iterations", "burn_in", "thin", "seed", "mode", "drift_sd", "chains"):
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     mode = "online" if force_online else cfg.get("mode", "retrospective")
-    config = SamplerConfig(
-        n_iterations=int(cfg.get("iterations", 50_000)),
-        burn_in=int(cfg.get("burn_in", 30_000)),
-        thin=int(cfg.get("thin", 10)),
-        seed=int(cfg.get("seed", 0)),
-        mode=mode,
-        fixed_drift_sd=cfg.get("drift_sd"),
-    )
-    chains = int(cfg.get("chains", 1))
+    config = SamplerConfig(n_iterations=cfg.get("iterations", 50_000),
+                           burn_in=cfg.get("burn_in", 30_000), thin=cfg.get("thin", 10),
+                           seed=cfg.get("seed", 0), mode=mode, fixed_drift_sd=cfg.get("drift_sd"))
+    chains = cfg.get("chains", 1)
     if chains < 1:
         raise ConfigError("chains must be >= 1")
 

@@ -10,7 +10,9 @@ No update loops over individuals or days in Python.  The ability paths of
 all individuals are drawn together: their joint conditional has a
 tridiagonal precision, which one banded Cholesky factorisation and two
 triangular solves sample exactly (forward filtering, backward sampling in
-matrix form; see ``ffbs``).
+matrix form; see ``ffbs``).  The sum-zero test effects of all days are
+drawn together by conditioning independent normals on each day's sum
+(see ``update_test_effects``).
 
 All conditionals are derived under the objective priors: flat on positive
 growth, and x^(-3/2) on each precision, which adds -1/2 to the gamma shape
@@ -32,10 +34,9 @@ class SweepWorkspace:
 
     Holds everything the updates need to run as flat array operations:
     gather indices between the item/test/day/individual levels, reduceat
-    boundaries, the truncated lapses, per-individual prior parameters, and
-    the blockwise machinery for the sum-zero test-effect draw (grouped by
-    tests-per-day so each group solves one batched SPD system).  Also counts
-    the mixture-scale proposals and acceptances for the run report.
+    boundaries, the truncated lapses and per-individual prior parameters.
+    Also counts the mixture-scale proposals and acceptances for the run
+    report.
     """
 
     def __init__(self, data: Dataset, constants: ModelConstants,
@@ -45,10 +46,11 @@ class SweepWorkspace:
         self.freeze_effect_precisions = freeze_effect_precisions
         n, n_days, n_tests = data.n_individuals, data.n_days, data.n_tests
 
+        self.day_individual = np.repeat(np.arange(n), data.days)
         self.test_day = np.repeat(np.arange(n_days), data.tests_per_day)
+        self.test_individual = self.day_individual[self.test_day]
         self.item_test = np.repeat(np.arange(n_tests), data.items_per_test)
         self.item_day = self.test_day[self.item_test]
-        self.day_individual = np.repeat(np.arange(n), data.days)
         self.item_difficulty = data.difficulty[self.item_test]
 
         self.theta_start = theta_offsets(data)
@@ -57,11 +59,9 @@ class SweepWorkspace:
         self.day_theta_prev = self.day_theta - 1
         self.item_theta = self.day_theta[self.item_day]
 
-        # reduceat starts: first item of each day, first item of each test,
-        # and per-individual boundaries at the day/test/item levels
+        # reduceat starts: first item of each day, first test of each individual
         self.day_item_start = data.item_start[data.test_start[:-1]]
         self.indiv_test_start = data.test_start[data.day_start]
-        self.indiv_item_start = data.item_start[self.indiv_test_start]
 
         self.lapse_trunc = np.minimum(data.lapse, constants.delta_tmax)
         self.inv_lapse = 1.0 / data.lapse
@@ -69,16 +69,6 @@ class SweepWorkspace:
         priors = [constants.prior_for(g) for g in data.group]
         self.init_mean = np.array([p[0] for p in priors], dtype=float)
         self.init_var = np.array([p[1] for p in priors], dtype=float)
-
-        # sum-zero test-effect machinery, grouped by tests-per-day
-        self.single_test_days = np.flatnonzero(data.tests_per_day == 1)
-        self.eta_groups = []
-        for s in sorted(set(data.tests_per_day[data.tests_per_day >= 2].tolist())):
-            days = np.flatnonzero(data.tests_per_day == s)
-            tests = data.test_start[days][:, None] + np.arange(s)[None, :]
-            eye = np.eye(s - 1)
-            prior_corr = eye + 1.0  # 2 on the diagonal, 1 off it
-            self.eta_groups.append((s, days, tests, eye, prior_corr))
 
         self.tests_per_individual = np.add.reduceat(data.tests_per_day, data.day_start[:-1])
         self.psi = np.empty(data.n_items)
@@ -153,34 +143,28 @@ def update_growth(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
 
 
 def update_test_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
-    """Blockwise constrained-MVN draw of each day's test effects.
+    """Exact draw of every day's sum-zero test effects in one pass.
 
-    Days with a single test get effect 0; otherwise the free coordinates
-    (all tests but the last) are drawn from their Gaussian conditional and
-    the last effect closes the sum to zero.
+    Without the constraint the effects are independent, each N(v Sum(psi r),
+    v) with v = 1/(Sum(psi) + tau) over its items.  Conditioning them on the
+    day's sum being zero is kriging: shift each draw x by v Sum_day(x) /
+    Sum_day(v) (Rue & Held 2005, Gaussian Markov Random Fields, sec. 2.3.3).
+    The last effect of each day then closes the sum exactly, so a single-test
+    day's effect is 0 and a two-test day's pair is (eta, -eta).
     """
+    data = work.data
     resid = (state.latent_utility - state.theta[work.item_theta] + work.item_difficulty
              - state.day_effect[work.item_day])
-    prec_test = np.add.reduceat(work.psi, work.data.item_start[:-1])
-    obs_test = np.add.reduceat(work.psi * resid, work.data.item_start[:-1])
-    state.test_effect[work.data.test_start[work.single_test_days]] = 0.0
-    for s, days, tests, eye, prior_corr in work.eta_groups:
-        p = prec_test[tests]          # (m, s)
-        b = obs_test[tests]
-        tau = state.test_effect_precision[work.day_individual[days]]
-        m_mat = (eye * p[:, :-1, None] + p[:, -1, None, None]
-                 + tau[:, None, None] * prior_corr)
-        rhs = b[:, :-1] - b[:, -1:]
-        try:
-            cov = np.linalg.inv(m_mat)
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"test-effect system not SPD for {s}-test days") from exc
-        mean = np.einsum("mij,mj->mi", cov, rhs)
-        z = rng.standard_normal((len(days), s - 1))
-        free = mean + np.einsum("mij,mj->mi", chol, z)
-        state.test_effect[tests[:, :-1]] = free
-        state.test_effect[tests[:, -1]] = -free.sum(axis=1)
+    days = data.test_start[:-1]
+    var = 1.0 / (np.add.reduceat(work.psi, data.item_start[:-1])
+                 + state.test_effect_precision[work.test_individual])
+    x = (var * np.add.reduceat(work.psi * resid, data.item_start[:-1])
+         + np.sqrt(var) * rng.standard_normal(data.n_tests))
+    eta = state.test_effect
+    eta[:] = x - var * (np.add.reduceat(x, days) / np.add.reduceat(var, days))[work.test_day]
+    last = data.test_start[1:] - 1
+    eta[last] = 0.0
+    eta[last] = -np.add.reduceat(eta, days)
 
 
 def _guarded_gamma(rng: Rng, shape, rate_fn, redraw, what: str):
@@ -290,8 +274,7 @@ def _step(name: str, update, *args) -> None:
         update(*args)
     except ConfigError:
         raise
-    except (NumericError, ValueError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except (NumericError, ValueError, FloatingPointError) as exc:
         raise NumericError(f"sweep aborted in {name} update: {exc}") from exc
 
 

@@ -312,6 +312,8 @@ class SamplerConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_iterations")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if (self.n_iterations - self.burn_in) % self.thin != 0:
             raise ConfigError("n_iterations - burn_in must be divisible by thin")
         if self.mode == "online":

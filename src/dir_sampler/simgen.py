@@ -64,6 +64,8 @@ class SimConfig:
         for name in ("n_individuals", "days", "tests_per_day", "items_per_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("growth", "day_effect_precision", "test_effect_precision"):
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (self.n_individuals,):
@@ -75,6 +77,8 @@ class SimConfig:
         for name in ("drift_precision", "sigma", "rho", "delta_tmax", "init_var"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0")
+        if not self.difficulty_halfwidth >= 0.0:
+            raise ConfigError("difficulty_halfwidth must be >= 0")
         if self.lapse_table is not None:
             table = np.asarray(self.lapse_table, dtype=float)
             if table.shape != (self.n_individuals, self.days):
@@ -127,13 +131,15 @@ class SimTruth:
     theta_start: np.ndarray              # (n+1,) offsets into theta
 
 
-def constrained_test_effects(rng, precision: float, n_tests: int,
-                             size: int) -> np.ndarray:
-    """Draw ``size`` rows of test effects ~ N(0, 1/precision I) conditioned
+def constrained_test_effects(rng, precision, n_tests: int, size) -> np.ndarray:
+    """Draw rows of ``n_tests`` test effects ~ N(0, 1/precision I) conditioned
     to sum to zero, by centering iid draws (the projection is exact: the
-    centered vector has the conditioned law's covariance (I - J/S)/tau)."""
-    raw = rng.normal(0.0, 1.0 / np.sqrt(precision), size=(size, n_tests))
-    return raw - raw.mean(axis=1, keepdims=True)
+    centered vector has the conditioned law's covariance (I - J/S)/tau).
+    ``size`` (int or tuple) is the shape of the rows, against which
+    ``precision`` broadcasts."""
+    scale = (1.0 / np.sqrt(np.asarray(precision, dtype=float)))[..., None]
+    raw = rng.normal(0.0, scale, size=(*np.atleast_1d(size), n_tests))
+    return raw - raw.mean(axis=-1, keepdims=True)
 
 
 def simulate_dataset(cfg: SimConfig) -> tuple:
@@ -162,9 +168,7 @@ def simulate_dataset(cfg: SimConfig) -> tuple:
     difficulty = (theta[:, 1:, None]
                   + rng.uniform(-cfg.difficulty_halfwidth, cfg.difficulty_halfwidth,
                                 size=(n, t_total, s)))
-    test_effect = np.empty((n, t_total, s))
-    for i in range(n):
-        test_effect[i] = constrained_test_effects(rng, tau_prec[i], s, t_total)
+    test_effect = constrained_test_effects(rng, tau_prec[:, None], s, (n, t_total))
     item_dev = rng.normal(0.0, cfg.sigma, size=(n, t_total, s, k))
 
     logit = (theta[:, 1:, None, None] - difficulty[..., None]

@@ -83,6 +83,44 @@ def dense_posterior(data: Dataset, state, constants: ModelConstants, upto=None):
     return cov @ lin, cov
 
 
+def dense_test_effect_conditional(data: Dataset, state, constants: ModelConstants):
+    """Exact N(mean, cov) of all test effects given everything else.
+
+    Per day with S >= 2 tests, the S-1 free effects (all but the last, which
+    is minus their sum) have precision diag(p_free) + p_last J + tau (I + J)
+    and linear term b_free - b_last, where p and b sum psi and psi * r over
+    each test's items; the dense inverse is then mapped to all S effects.  A
+    single-test day's effect is 0.
+    """
+    psi = 1.0 / (4.0 * state.ks_scale ** 2 + constants.sigma ** 2)
+    p = np.zeros(data.n_tests)
+    b = np.zeros(data.n_tests)
+    mean = np.zeros(data.n_tests)
+    cov = np.zeros((data.n_tests, data.n_tests))
+    k = 0  # flat index of the individual's day 0
+    for i, t_total in enumerate(data.days):
+        tau = state.test_effect_precision[i]
+        for t in range(t_total):
+            d = data.day_start[i] + t
+            first, end = data.test_start[d], data.test_start[d + 1]
+            for s in range(first, end):
+                for j in range(data.item_start[s], data.item_start[s + 1]):
+                    r = (state.latent_utility[j] - state.theta[k + t + 1]
+                         + data.difficulty[s] - state.day_effect[d])
+                    p[s] += psi[j]
+                    b[s] += psi[j] * r
+            free = end - first - 1
+            if free == 0:
+                continue
+            prec = np.diag(p[first:end - 1]) + p[end - 1] + tau * (np.eye(free) + 1.0)
+            cov_free = np.linalg.inv(prec)
+            lift = np.vstack([np.eye(free), -np.ones((1, free))])
+            mean[first:end] = lift @ cov_free @ (b[first:end - 1] - b[end - 1])
+            cov[first:end, first:end] = lift @ cov_free @ lift.T
+        k += t_total + 1
+    return mean, cov
+
+
 def mixed_two_test_day():
     """One day, two tests, each with one correct and one incorrect response."""
     return [[1, 0], [0, 1]]

@@ -108,6 +108,40 @@ def test_missing_dataset_file_is_a_config_error(data_dir, capsys, tmp_path, comm
     assert "missing dataset file" in err and "responses.csv" in err
 
 
+
+SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (("fit", *SHORT_FIT), {"iterations": "abc"}, "iterations"),
+    (("fit", "--burn-in", 2, "--thin", 1), {"iterations": 10.7}, "iterations"),
+    (("fit", "--burn-in", 0, "--thin", 1), {"iterations": True}, "iterations"),
+    (("fit", *SHORT_FIT), {"chains": "two"}, "chains"),
+    (("fit", *SHORT_FIT), {"chains": 1.5}, "chains"),
+    (("fit", *SHORT_FIT), {"sigma": "x"}, "sigma"),
+    (("fit", *SHORT_FIT), {"rho": None}, "rho"),
+    (("fit", *SHORT_FIT), {"group_prior": {"g": 5}}, "group_prior"),
+    (("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1, 2]}}, "group_prior"),
+    (("online", *SHORT_FIT), {"drift_sd": "x"}, "drift_sd"),
+    (("fit", *SHORT_FIT, "--seed", -1), None, "seed"),
+    (("simulate", "--paper-defaults", "--seed", -1), None, "seed"),
+    (("simulate", "--paper-defaults"), {"growth": "x"}, "'x'"),
+    (("simulate", "--paper-defaults"), {"days": "x"}, "days"),
+    (("simulate", "--paper-defaults"), {"difficulty_halfwidth": -1}, "difficulty_halfwidth"),
+])
+def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
+                                                  config, named):
+    """A config or seed value of the wrong type or sign ends in exit 3 with a
+    message naming it: no traceback, and no silent truncation to an integer."""
+    command, *flags = argv
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags += ["--config", tmp_path / "cfg.json"]
+    data = [] if command == "simulate" else [data_dir]
+    code, err = run(capsys, command, *data, *flags, "-o", tmp_path / "out")
+    assert code == 3
+    assert err.startswith("config error:") and named in err
+
 def write_traces(path, header, rows):
     path.mkdir(parents=True, exist_ok=True)
     (path / "traces.csv").write_text("\n".join([header, *rows]) + "\n", encoding="latin-1")
@@ -354,7 +388,8 @@ def traced_spans(tmp_path, *cli_args) -> list:
 
 
 def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
-    """``perfbench/tracing.py`` wraps the two path-draw functions by name."""
+    """``perfbench/tracing.py`` wraps the two path-draw functions and the
+    nine updates by name."""
     spans = traced_spans(tmp_path, "fit", data_dir, "--iterations", 12, "--burn-in", 4,
                          "--thin", 2, "-o", tmp_path / "fit")
     name = {span_id: span_name for span_name, _, _, span_id, _ in spans}
@@ -368,7 +403,12 @@ def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
     sweeps = Counter(span_id for span_name, _, _, span_id, _ in spans
                      if span_name == "gibbs.gibbs_sweep")
     assert len(sweeps) == 12
-    for fn in ("ffbs.filter_from_day_sums", "ffbs.backward_sample"):
+    for fn in ("ffbs.filter_from_day_sums", "ffbs.backward_sample",
+               "gibbs.update_latent_utilities", "gibbs.update_abilities",
+               "gibbs.update_growth", "gibbs.update_test_effects",
+               "gibbs.update_test_effect_precision", "gibbs.update_day_effects",
+               "gibbs.update_day_effect_precision", "gibbs.update_drift_precision",
+               "gibbs.update_ks_scales"):
         assert Counter(sweep_of(span_id) for span_name, _, _, span_id, _ in spans
                        if span_name == fn) == sweeps
 

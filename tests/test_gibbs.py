@@ -24,8 +24,8 @@ from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
                                update_test_effects, _growth_moments)
 from dir_sampler.simgen import SimConfig
 
-from conftest import (FixedNormals, build_dataset, dense_posterior, mc_se_mean, mc_se_var,
-                      proper_individual)
+from conftest import (FixedNormals, build_dataset, dense_posterior,
+                      dense_test_effect_conditional, mc_se_mean, mc_se_var, proper_individual)
 
 # sigma chosen so that ks_scale = 0.4 gives unit observation variance
 SIGMA_UNIT = 0.6
@@ -193,6 +193,42 @@ def test_test_effect_scalar_conjugate_oracle():
     var = 1.0 / 4.0
     assert abs(eta1.mean() - mean) < 4.0 * mc_se_mean(eta1)
     assert abs(eta1.var(ddof=1) - var) < 4.0 * mc_se_var(eta1)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_test_effect_draw_matches_dense_constrained_conditional(seed):
+    """The draw is affine in its normals: zero normals give its mean, each
+    unit vector one column of a square root of its covariance.  Both match
+    the dense conditional of the free effects on ragged days (1-5 tests,
+    at least one single-test day) with random psi, residuals and tau."""
+    rng = np.random.default_rng(seed)
+    responses = [[[rng.integers(0, 2, size=int(rng.integers(1, 4))).tolist()
+                   for _ in range(int(rng.integers(1, 6)))]
+                  for _ in range(int(rng.integers(1, 4)))]
+                 for _ in range(int(rng.integers(1, 4)))]
+    responses[0][0] = responses[0][0][:1]
+    data, work, state = frozen_setup(responses)
+    state.ks_scale[:] = rng.uniform(0.1, 2.0, size=data.n_items)
+    work.refresh_obs_precision(state)
+    state.theta[:] = rng.normal(size=len(state.theta))
+    state.latent_utility[:] = rng.normal(size=data.n_items)
+    state.day_effect[:] = rng.normal(size=data.n_days)
+    state.test_effect_precision[:] = rng.uniform(0.2, 10.0, size=data.n_individuals)
+    mean, cov = dense_test_effect_conditional(data, state, work.constants)
+
+    def draw(normals):
+        update_test_effects(normals, state, work)
+        return state.test_effect.copy()
+
+    base = draw(FixedNormals(np.zeros(data.n_tests)))
+    root = np.column_stack([draw(FixedNormals(e)) - base for e in np.eye(data.n_tests)])
+    np.testing.assert_allclose(base, mean, rtol=0, atol=1e-9 * np.abs(mean).max())
+    np.testing.assert_allclose(root @ root.T, cov, rtol=0, atol=1e-9 * np.abs(cov).max())
+
+    eta = draw(make_rng(seed))
+    assert np.all(eta[data.test_start[:-1][data.tests_per_day == 1]] == 0.0)
+    assert np.all(np.abs(np.add.reduceat(eta, data.test_start[:-1])) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +462,7 @@ def state_invariant_violations(state, work: SweepWorkspace) -> list:
     day_sums = np.add.reduceat(state.test_effect, data.test_start[:-1])
     if np.any(np.abs(day_sums) > 1e-12):
         problems.append("test effects do not sum to zero within a day")
-    if np.any(state.test_effect[data.test_start[work.single_test_days]] != 0.0):
+    if np.any(state.test_effect[data.test_start[:-1][data.tests_per_day == 1]] != 0.0):
         problems.append("single-test day has nonzero test effect")
     correct = data.response == 1
     if np.any(state.latent_utility[correct] <= 0.0):
