@@ -5,9 +5,9 @@ so a typo in a constant cannot silently change a run.  Every output directory ge
 manifest.json recording the resolved configuration, seed, and input
 checksums, sufficient to re-run bit-identically.  A fit's manifest also
 records its data directory, where summarize finds the truth.csv that
-simulate wrote.  A retrospective fit also writes run_report.json with each
-chain's wall time, sweep count and K-S acceptance rate.  Exit codes: 0 ok,
-1 runtime error, 2 validation failure, 3 config error.
+simulate wrote.  A fit also writes run_report.json with the wall time, sweep
+count and K-S acceptance rate of each chain, or of each day's chain on-line.
+Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
 """
 
 from __future__ import annotations
@@ -215,50 +215,44 @@ def cmd_fit(args, force_online: bool = False) -> int:
     if config.mode == "online":
         if chains != 1:
             raise ConfigError("on-line estimation runs a single chain per prefix")
-        report = validate_dataset(data)
-        if not report.passed:
-            raise ValidationError(report)
-        trajectories = inference.fit_online(data, constants, config)
+        trajectories, refits = inference.fit_online(data, constants, config)
         path = out_dir / inference.ONLINE_FILE
         inference.write_online_csv(trajectories, path)
-        _write_manifest(out_dir, "fit --mode online", resolved, checksums, [path],
-                        data_dir=str(data_dir.resolve()))
-        print(f"on-line trajectories for {data.n_individuals} individuals -> {path}")
-        return 0
-
-    chain_configs = [replace(config, seed=config.seed + k) for k in range(chains)]
-    if chains == 1:
-        outputs = [inference.fit(data, constants, config)]
+        command, written, run_report = "fit --mode online", [path], {"refits": refits}
+        done = f"on-line trajectories for {data.n_individuals} individuals -> {path}"
     else:
-        workers = _max_workers(chains)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_fit_one_chain,
-                                    [(data, constants, c) for c in chain_configs]))
+        command, written = "fit", []
+        chain_configs = [replace(config, seed=config.seed + k) for k in range(chains)]
+        if chains == 1:
+            outputs = [inference.fit(data, constants, config)]
+        else:
+            with ProcessPoolExecutor(max_workers=_max_workers(chains)) as pool:
+                outputs = list(pool.map(_fit_one_chain,
+                                        [(data, constants, c) for c in chain_configs]))
+        for k, output in enumerate(outputs):
+            chain_dir = out_dir / f"chain_{k:02d}" if chains > 1 else out_dir
+            chain_dir.mkdir(parents=True, exist_ok=True)
+            tp, sp = chain_dir / inference.TRACES_FILE, chain_dir / inference.SUMMARY_FILE
+            inference.write_traces_csv(output, tp)
+            inference.write_summary_csv(output.summaries, output.days, sp)
+            written.extend([tp, sp])
+        if chains > 1:
+            pooled_draws = {name: np.concatenate([o.draw_arrays()[name] for o in outputs])
+                            for name in outputs[0].draw_arrays()}
+            sp = out_dir / inference.SUMMARY_FILE
+            pooled = inference._summaries(pooled_draws)
+            inference.write_summary_csv(pooled, outputs[0].days, sp)
+            written.append(sp)
+        run_report = {"chains": [inference.chain_report(o) for o in outputs]}
+        done = f"fit complete: {chains} chain(s), {outputs[0].n_draws} draws each -> {out_dir}"
 
-    written = []
-    for k, output in enumerate(outputs):
-        chain_dir = out_dir / f"chain_{k:02d}" if chains > 1 else out_dir
-        chain_dir.mkdir(parents=True, exist_ok=True)
-        tp, sp = chain_dir / inference.TRACES_FILE, chain_dir / inference.SUMMARY_FILE
-        inference.write_traces_csv(output, tp)
-        inference.write_summary_csv(output.summaries, output.days, sp)
-        written.extend([tp, sp])
-    if chains > 1:
-        pooled_draws = {name: np.concatenate([o.draw_arrays()[name] for o in outputs])
-                        for name in outputs[0].draw_arrays()}
-        sp = out_dir / inference.SUMMARY_FILE
-        pooled = inference._summaries(pooled_draws)
-        inference.write_summary_csv(pooled, outputs[0].days, sp)
-        written.append(sp)
     report = out_dir / RUN_REPORT_FILE
-    report.write_text(json.dumps({"chains": [
-        {"wall_time_s": o.wall_time, "sweeps": o.n_iterations,
-         "ks_accept_rate": o.ks_accept_rate} for o in outputs]}, indent=2) + "\n")
+    report.write_text(json.dumps(run_report, indent=2) + "\n")
     written.append(report)
-    _write_manifest(out_dir, "fit", resolved, checksums,
+    _write_manifest(out_dir, command, resolved, checksums,
                     [p for p in written if p.parent == out_dir],
                     data_dir=str(data_dir.resolve()))
-    print(f"fit complete: {chains} chain(s), {outputs[0].n_draws} draws each -> {out_dir}")
+    print(done)
     return 0
 
 

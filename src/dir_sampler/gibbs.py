@@ -35,16 +35,17 @@ class SweepWorkspace:
     Holds everything the updates need to run as flat array operations:
     gather indices between the item/test/day/individual levels, reduceat
     boundaries, the truncated lapses and per-individual prior parameters.
-    Also counts the mixture-scale proposals and acceptances for the run
-    report.
+    ``frozen`` marks the individuals whose effect precisions are held at
+    their current values (none by default).  Also counts the mixture-scale
+    proposals and acceptances for the run report.
     """
 
     def __init__(self, data: Dataset, constants: ModelConstants,
-                 freeze_effect_precisions: bool = False):
+                 frozen: np.ndarray | None = None):
         self.data = data
         self.constants = constants
-        self.freeze_effect_precisions = freeze_effect_precisions
         n, n_days, n_tests = data.n_individuals, data.n_days, data.n_tests
+        self.free = np.ones(n, dtype=bool) if frozen is None else ~np.asarray(frozen, bool)
 
         self.day_individual = np.repeat(np.arange(n), data.days)
         self.test_day = np.repeat(np.arange(n_days), data.tests_per_day)
@@ -181,21 +182,20 @@ def _guarded_gamma(rng: Rng, shape, rate_fn, redraw, what: str):
 
 def update_test_effect_precision(rng: Rng, state: LatentState,
                                  work: SweepWorkspace) -> None:
-    if work.freeze_effect_precisions:
-        return
-    data = work.data
-    shape = (work.tests_per_individual - data.days) / 2.0 - 0.5
-    if np.any(shape <= 0.0):
-        bad = int(np.flatnonzero(shape <= 0.0)[0])
-        raise ConfigError(f"test-effect precision shape nonpositive for individual {bad}; "
+    """Gamma draw of each free individual's test-effect precision."""
+    free = work.free
+    shape = (work.tests_per_individual - work.data.days) / 2.0 - 0.5
+    bad = np.flatnonzero(free & (shape <= 0.0))
+    if bad.size:
+        raise ConfigError(f"test-effect precision shape nonpositive for individual {bad[0]}; "
                           "dataset should have been rejected by the validation gate")
 
     def rate():
         per = np.add.reduceat(state.test_effect ** 2, work.indiv_test_start[:-1])
-        return per / 2.0
+        return per[free] / 2.0
 
-    state.test_effect_precision[:] = _guarded_gamma(
-        rng, shape, rate, lambda: update_test_effects(rng, state, work),
+    state.test_effect_precision[free] = _guarded_gamma(
+        rng, shape[free], rate, lambda: update_test_effects(rng, state, work),
         "test-effect precision")
 
 
@@ -211,21 +211,20 @@ def update_day_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> No
 
 
 def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
-    if work.freeze_effect_precisions:
-        return
-    data = work.data
-    shape = data.days / 2.0 - 0.5
-    if np.any(shape <= 0.0):
-        bad = int(np.flatnonzero(shape <= 0.0)[0])
-        raise ConfigError(f"day-effect precision shape nonpositive for individual {bad}; "
+    """Gamma draw of each free individual's day-effect precision."""
+    free = work.free
+    shape = work.data.days / 2.0 - 0.5
+    bad = np.flatnonzero(free & (shape <= 0.0))
+    if bad.size:
+        raise ConfigError(f"day-effect precision shape nonpositive for individual {bad[0]}; "
                           "dataset should have been rejected by the validation gate")
 
     def rate():
-        per = np.add.reduceat(state.day_effect ** 2, data.day_start[:-1])
-        return per / 2.0
+        per = np.add.reduceat(state.day_effect ** 2, work.data.day_start[:-1])
+        return per[free] / 2.0
 
-    state.day_effect_precision[:] = _guarded_gamma(
-        rng, shape, rate, lambda: update_day_effects(rng, state, work),
+    state.day_effect_precision[free] = _guarded_gamma(
+        rng, shape[free], rate, lambda: update_day_effects(rng, state, work),
         "day-effect precision")
 
 

@@ -1,25 +1,25 @@
 """Chain orchestration, posterior summaries, coverage, on-line estimation.
 
-``fit`` runs one seeded chain over the full data; ``fit_online`` refits on
-each day's data prefix with the system-noise precision held fixed, the way
-real-time estimation must.  Summaries are empirical quantiles of the
-thinned post-burn-in draws.
+``fit`` runs one seeded chain over the full data; ``fit_online`` runs one
+chain per day t over every individual's first t days, with the system-noise
+precision held fixed, the way real-time estimation must.  Every chain starts
+cold and runs the configured burn-in.  Summaries are empirical quantiles of
+the thinned post-burn-in draws.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ValidationError
+from .errors import DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
-from .model import (Dataset, LatentState, ModelConstants, SamplerConfig, _fmt, _offsets,
-                    initial_state, individual_propriety_failures, read_keyed_csv,
+from .model import (Dataset, ModelConstants, SamplerConfig, _fmt, _offsets, initial_state,
+                    individual_propriety_failures, read_keyed_csv, theta_offsets,
                     validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
@@ -80,16 +80,20 @@ def _stream_seed(*key) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(k) for k in key])
 
 
+def chain_report(output: ChainOutput) -> dict:
+    """A chain's run-report entry: wall time, sweeps, K-S acceptance rate."""
+    return {"wall_time_s": output.wall_time, "sweeps": output.n_iterations,
+            "ks_accept_rate": output.ks_accept_rate}
+
+
 def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
-               init: LatentState | None = None, burn_in: int | None = None,
-               seed_seq=None, freeze_effect_precisions: bool = False):
-    """Run sweeps and collect thinned draws; returns (ChainOutput, final state)."""
+               seed_seq=None, frozen: np.ndarray | None = None) -> ChainOutput:
+    """Run sweeps from ``initial_state`` and collect thinned draws; the
+    individuals marked ``frozen`` keep their effect precisions at 1."""
     start = time.perf_counter()
-    burn = config.burn_in if burn_in is None else burn_in
-    n_draws = (config.n_iterations - burn) // config.thin
-    work = SweepWorkspace(data, constants,
-                          freeze_effect_precisions=freeze_effect_precisions)
-    state = init.copy() if init is not None else initial_state(data)
+    n_draws = (config.n_iterations - config.burn_in) // config.thin
+    work = SweepWorkspace(data, constants, frozen)
+    state = initial_state(data)
     if config.mode == "online":
         state.drift_precision = 1.0 / config.fixed_drift_sd ** 2
     if seed_seq is None:
@@ -104,7 +108,7 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     k = 0
     for sweep in range(1, config.n_iterations + 1):
         gibbs_sweep(rng, state, work, mode=config.mode)
-        if sweep > burn and (sweep - burn) % config.thin == 0:
+        if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
             theta[k] = state.theta
             growth[k] = state.growth
             drift_sd[k] = state.drift_precision ** -0.5
@@ -113,12 +117,11 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
             k += 1
     draws = {"theta": theta, "growth": growth, "drift_sd": drift_sd,
              "day_effect_sd": day_sd, "test_effect_sd": test_sd}
-    output = ChainOutput(
+    return ChainOutput(
         **draws, summaries=_summaries(draws), days=data.days.copy(),
-        n_iterations=config.n_iterations, burn_in=burn, thin=config.thin,
+        n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
         wall_time=time.perf_counter() - start,
         ks_accept_rate=work.ks_accepted / work.ks_proposals)
-    return output, state
 
 
 def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> ChainOutput:
@@ -126,8 +129,7 @@ def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> Chai
     report = validate_dataset(data)
     if not report.passed:
         raise ValidationError(report)
-    output, _ = _run_chain(data, constants, config)
-    return output
+    return _run_chain(data, constants, config)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +180,10 @@ def parameter_coverage(summaries: dict, truth) -> float:
 
 @dataclass
 class OnlineTrajectory:
-    """Endpoint ability estimates per day, each using only data up to that
-    day.  ``flagged[t]`` marks days fitted before the propriety conditions
-    were met (effect precisions frozen at 1)."""
+    """One individual's endpoint ability estimates per day t, each from the
+    day-t chain, which sees only days up to t.  ``flagged[t]`` marks days
+    whose prefix fails the individual's propriety conditions; that chain
+    holds the individual's effect precisions at 1."""
 
     individual: int
     median: np.ndarray
@@ -189,66 +192,40 @@ class OnlineTrajectory:
     flagged: np.ndarray
 
 
-def _warm_start(prev: LatentState, sub: Dataset) -> LatentState:
-    """Extend the previous prefix's final state by one day, new-day latents
-    at their sweep-start defaults."""
-    state = initial_state(sub)
-    n_theta_prev = len(prev.theta)
-    state.theta[:n_theta_prev] = prev.theta
-    state.theta[n_theta_prev:] = prev.theta[-1]
-    state.growth[:] = prev.growth
-    state.drift_precision = prev.drift_precision
-    state.day_effect[:sub.n_days - 1] = prev.day_effect
-    state.day_effect_precision[:] = prev.day_effect_precision
-    n_tests_prev = len(prev.test_effect)
-    state.test_effect[:n_tests_prev] = prev.test_effect
-    state.test_effect_precision[:] = prev.test_effect_precision
-    n_items_prev = len(prev.latent_utility)
-    state.latent_utility[:n_items_prev] = prev.latent_utility
-    state.ks_scale[:n_items_prev] = prev.ks_scale
-    return state
+def fit_online(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> tuple:
+    """Per-day prefix fits with the drift sd fixed (it cannot be learned
+    on-line); returns (trajectories, refits).
 
-
-def fit_online(data: Dataset, constants: ModelConstants,
-               config: SamplerConfig) -> list:
-    """Per-day prefix refits with the drift sd fixed (it cannot be learned
-    on-line).  Each refit warm-starts from the previous prefix's final state
-    with burn-in cut to 20%, so estimates for day t are bit-identical
-    whether or not later days exist."""
-    if config.fixed_drift_sd is None:
-        raise ConfigError("on-line estimation requires fixed_drift_sd")
-    cfg = config if config.mode == "online" else SamplerConfig(
-        n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
-        seed=config.seed, mode="online", fixed_drift_sd=config.fixed_drift_sd)
-
-    warm_burn = math.ceil(0.2 * cfg.burn_in)
-    warm_burn += (cfg.n_iterations - warm_burn) % cfg.thin  # keep draws whole
-
-    trajectories = []
-    for i in range(data.n_individuals):
-        t_total = int(data.days[i])
-        med = np.empty(t_total)
-        lo = np.empty(t_total)
-        hi = np.empty(t_total)
-        flagged = np.zeros(t_total, dtype=bool)
-        prev_state = None
-        for t in range(1, t_total + 1):
-            sub = data.individual_prefix(i, t)
-            frozen = bool(individual_propriety_failures(sub, 0))
-            init = _warm_start(prev_state, sub) if prev_state is not None else None
-            burn = cfg.burn_in if prev_state is None else warm_burn
-            output, prev_state = _run_chain(
-                sub, constants, cfg, init=init, burn_in=burn,
-                seed_seq=_stream_seed(cfg.seed, i, t),
-                freeze_effect_precisions=frozen)
-            endpoint = output.summaries["theta"]
-            med[t - 1] = endpoint.median[t]
-            lo[t - 1] = endpoint.q025[t]
-            hi[t - 1] = endpoint.q975[t]
-            flagged[t - 1] = frozen
-        trajectories.append(OnlineTrajectory(individual=i, median=med, q025=lo,
-                                             q975=hi, flagged=flagged))
-    return trajectories
+    For each day t, one chain runs cold from ``initial_state`` with the
+    configured burn-in over every individual's first min(t, T_i) days,
+    seeded by (seed, t), so the estimates for day t are bit-identical
+    whether or not later days exist.  With the drift sd fixed the
+    individuals are independent, so sharing the chain changes no posterior.
+    ``refits`` holds each chain's run-report entry and its day."""
+    config = replace(config, mode="online")
+    report = validate_dataset(data)
+    if not report.passed:
+        raise ValidationError(report)
+    n, t_max = data.n_individuals, int(data.days.max())
+    median, q025, q975 = (np.empty((n, t_max)) for _ in range(3))
+    flagged = np.zeros((n, t_max), dtype=bool)
+    refits = []
+    for t in range(1, t_max + 1):
+        sub = data.individual_prefix(t)
+        frozen = np.array([bool(individual_propriety_failures(sub, i)) for i in range(n)])
+        output = _run_chain(sub, constants, config, _stream_seed(config.seed, t), frozen)
+        live = data.days >= t  # individuals whose day t exists
+        endpoint = theta_offsets(sub)[:-1][live] + t
+        theta = output.summaries["theta"]
+        median[live, t - 1] = theta.median[endpoint]
+        q025[live, t - 1] = theta.q025[endpoint]
+        q975[live, t - 1] = theta.q975[endpoint]
+        flagged[live, t - 1] = frozen[live]
+        refits.append({"day": t, **chain_report(output)})
+    trajectories = [OnlineTrajectory(individual=i, median=median[i, :t_i], q025=q025[i, :t_i],
+                                     q975=q975[i, :t_i], flagged=flagged[i, :t_i])
+                    for i, t_i in enumerate(data.days)]
+    return trajectories, refits
 
 
 # ---------------------------------------------------------------------------

@@ -204,18 +204,19 @@ class Dataset:
                                         lapse_individual, lapse_day, lapse),
                    group=group)
 
-    def individual_prefix(self, i: int, n_days: int) -> "Dataset":
-        """Single-individual dataset restricted to the first ``n_days`` days."""
-        if not (1 <= n_days <= self.days[i]):
-            raise DataError(f"prefix length {n_days} out of range for individual {i}")
-        d0 = self.day_start[i]
-        days = slice(d0, d0 + n_days)
-        t0, t1 = self.test_start[d0], self.test_start[d0 + n_days]
-        i0, i1 = self.item_start[t0], self.item_start[t1]
-        return Dataset(days=[n_days], tests_per_day=self.tests_per_day[days],
-                       items_per_test=self.items_per_test[t0:t1],
-                       response=self.response[i0:i1], difficulty=self.difficulty[t0:t1],
-                       lapse=self.lapse[days], group=(self.group[i],))
+    def individual_prefix(self, n_days: int) -> "Dataset":
+        """Every individual restricted to its first min(``n_days``, T_i) days."""
+        if n_days < 1:
+            raise DataError(f"prefix length {n_days} must be >= 1")
+        keep_day = (np.arange(self.n_days) - np.repeat(self.day_start[:-1], self.days)
+                    < n_days)
+        keep_test = np.repeat(keep_day, self.tests_per_day)
+        keep_item = np.repeat(keep_test, self.items_per_test)
+        return Dataset(days=np.minimum(self.days, n_days),
+                       tests_per_day=self.tests_per_day[keep_day],
+                       items_per_test=self.items_per_test[keep_test],
+                       response=self.response[keep_item], difficulty=self.difficulty[keep_test],
+                       lapse=self.lapse[keep_day], group=self.group)
 
 
 @dataclass(frozen=True)
@@ -264,12 +265,6 @@ class LatentState:
     test_effect_precision: np.ndarray  # (n,), > 0
     latent_utility: np.ndarray         # (total items,)
     ks_scale: np.ndarray               # (total items,), > 0
-
-    def copy(self) -> "LatentState":
-        return LatentState(self.theta.copy(), self.growth.copy(), self.drift_precision,
-                           self.day_effect.copy(), self.day_effect_precision.copy(),
-                           self.test_effect.copy(), self.test_effect_precision.copy(),
-                           self.latent_utility.copy(), self.ks_scale.copy())
 
 
 def theta_offsets(data: Dataset) -> np.ndarray:

@@ -67,24 +67,26 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for name in ("growth", "day_effect_precision", "test_effect_precision"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (self.n_individuals,):
+            if np.asarray(getattr(self, name), dtype=float).shape != (self.n_individuals,):
                 raise ConfigError(f"{name} must have one value per individual")
-            if name != "growth" and np.any(vec <= 0.0):
-                raise ConfigError(f"{name} values must be > 0")
-        if np.any(np.asarray(self.growth, dtype=float) < 0.0):
-            raise ConfigError("growth values must be >= 0")
-        for name in ("drift_precision", "sigma", "rho", "delta_tmax", "init_var"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0")
-        if not self.difficulty_halfwidth >= 0.0:
-            raise ConfigError("difficulty_halfwidth must be >= 0")
+        for name in ("growth", "day_effect_precision", "test_effect_precision",
+                     "drift_precision", "sigma", "rho", "delta_tmax", "init_var",
+                     "difficulty_halfwidth", "init_mean"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if name == "init_mean":
+                ok, rule = True, "finite"
+            elif name in ("growth", "difficulty_halfwidth"):
+                ok, rule = value >= 0.0, "finite and >= 0"
+            else:
+                ok, rule = value > 0.0, "finite and > 0"
+            if not np.all(ok & np.isfinite(value)):
+                raise ConfigError(f"{name} {'values ' if value.ndim else ''}must be {rule}")
         if self.lapse_table is not None:
             table = np.asarray(self.lapse_table, dtype=float)
             if table.shape != (self.n_individuals, self.days):
                 raise ConfigError("lapse_table must be (n_individuals, days)")
-            if np.any(table <= 0.0):
-                raise ConfigError("lapse_table entries must be > 0")
+            if not np.all((table > 0.0) & np.isfinite(table)):
+                raise ConfigError("lapse_table entries must be finite and > 0")
         elif self.days < 20:
             # the default schedule's second branch (t - 10) goes nonpositive
             raise ConfigError("default lapse schedule needs days >= 20; "

@@ -128,11 +128,25 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("simulate", "--paper-defaults"), {"growth": "x"}, "'x'"),
     (("simulate", "--paper-defaults"), {"days": "x"}, "days"),
     (("simulate", "--paper-defaults"), {"difficulty_halfwidth": -1}, "difficulty_halfwidth"),
+    (("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e400}, "difficulty_halfwidth"),
+    (("simulate", "--paper-defaults"), {"drift_precision": 1e400}, "drift_precision"),
+    (("simulate", "--paper-defaults"), {"sigma": 1e400}, "sigma"),
+    (("simulate", "--paper-defaults"), {"rho": 1e400}, "rho"),
+    (("simulate", "--paper-defaults"), {"delta_tmax": 1e400}, "delta_tmax"),
+    (("simulate", "--paper-defaults"), {"init_var": 1e400}, "init_var"),
+    (("simulate", "--paper-defaults"), {"init_mean": 1e400}, "init_mean"),
+    (("simulate", "--paper-defaults"), {"growth": [1e400] * 10}, "growth"),
+    (("simulate", "--paper-defaults"), {"day_effect_precision": [1e400] * 10},
+     "day_effect_precision"),
+    (("simulate", "--paper-defaults"), {"test_effect_precision": [1e400] * 10},
+     "test_effect_precision"),
+    (("simulate", "--paper-defaults"), {"lapse_table": [[1e400] * 50] * 10}, "lapse_table"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
-    """A config or seed value of the wrong type or sign ends in exit 3 with a
-    message naming it: no traceback, and no silent truncation to an integer."""
+    """A config or seed value of the wrong type or sign, or an infinite one
+    (JSON 1e400), ends in exit 3 with a message naming it: no traceback, and
+    no silent truncation to an integer."""
     command, *flags = argv
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -339,15 +353,24 @@ def test_summarize_skips_coverage_when_the_dataset_changed(sim_dir, tmp_path, ca
     assert not (fit / "coverage.csv").exists()
 
 
-@pytest.mark.parametrize("chains", [1, 2])
-def test_fit_writes_run_report(data_dir, tmp_path, capsys, chains):
+@pytest.mark.parametrize("command, chains", [pytest.param("fit", 1, id="1"),
+                                             pytest.param("fit", 2, id="2"),
+                                             pytest.param("online", 1, id="online")])
+def test_fit_writes_run_report(data_dir, tmp_path, capsys, command, chains):
+    """One entry per chain, or on-line one per day's chain (three days here)."""
     out = tmp_path / "fit"
-    code, _ = run(capsys, "fit", data_dir, "--iterations", 30, "--burn-in", 10,
-                  "--thin", 2, "--chains", chains, "-o", out)
+    drift = ["--drift-sd", 0.05] if command == "online" else []
+    code, _ = run(capsys, command, data_dir, "--iterations", 30, "--burn-in", 10,
+                  "--thin", 2, "--chains", chains, *drift, "-o", out)
     assert code == 0
-    report = json.loads((out / "run_report.json").read_text())["chains"]
-    assert len(report) == chains
-    for chain in report:
+    report = json.loads((out / "run_report.json").read_text())
+    if command == "online":
+        assert list(report) == ["refits"]
+        assert [refit.pop("day") for refit in report["refits"]] == [1, 2, 3]
+    else:
+        assert list(report) == ["chains"] and len(report["chains"]) == chains
+    for chain in report.popitem()[1]:
+        assert sorted(chain) == ["ks_accept_rate", "sweeps", "wall_time_s"]
         assert chain["sweeps"] == 30 and chain["wall_time_s"] > 0.0
         assert 0.0 < chain["ks_accept_rate"] <= 1.0
     assert "run_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]

@@ -92,7 +92,7 @@ def update_moments(data, constants, state):
 def prefix_moments(data, constants, state, n_days):
     """Mean and variance of the last day of the individual's first
     ``n_days`` days, fitted on that prefix alone (the filtered marginal)."""
-    sub = data.individual_prefix(0, n_days)
+    sub = data.individual_prefix(n_days)
     n_tests, n_items = sub.n_tests, sub.n_items
     sub_state = initial_state(sub)
     sub_state.latent_utility[:] = state.latent_utility[:n_items]

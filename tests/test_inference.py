@@ -1,17 +1,21 @@
 """Summaries, coverage scoring, fit determinism, on-line prefixes, trace files."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dir_sampler import (ConfigError, Dataset, ModelConstants, QuantitySummary,
+from dir_sampler import (ConfigError, ModelConstants, QuantitySummary,
                          SamplerConfig, ValidationError, ability_coverage, fit, fit_online,
                          parameter_coverage, simulate_dataset, summarize)
+from dir_sampler import inference
 from dir_sampler.inference import ChainOutput, read_traces_csv, write_traces_csv, _run_chain
-from dir_sampler.simgen import SimConfig, SimTruth
+from dir_sampler.model import individual_propriety_failures
+from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config
 
-from conftest import build_dataset, proper_individual, traced_peak
+from conftest import build_dataset, mixed_two_test_day, proper_individual, traced_peak
 
 
 def small_sim(seed=0, n=2, days=4):
@@ -155,19 +159,6 @@ def test_fit_summaries_are_ordered():
 # on-line estimation
 # ---------------------------------------------------------------------------
 
-def truncate(data, keep_days):
-    """The first ``keep_days`` days of every individual."""
-    keep = np.minimum(data.days, keep_days)
-    day_in = (np.arange(data.n_days) - np.repeat(data.day_start[:-1], data.days)
-              < np.repeat(keep, data.days))
-    test_in = np.repeat(day_in, data.tests_per_day)
-    item_in = np.repeat(test_in, data.items_per_test)
-    return Dataset(days=keep, tests_per_day=data.tests_per_day[day_in],
-                   items_per_test=data.items_per_test[test_in],
-                   response=data.response[item_in], difficulty=data.difficulty[test_in],
-                   lapse=data.lapse[day_in], group=data.group)
-
-
 def online_config(seed=5):
     return SamplerConfig(n_iterations=300, burn_in=100, thin=4, seed=seed,
                          mode="online", fixed_drift_sd=0.0612)
@@ -181,28 +172,72 @@ def test_online_requires_drift_sd():
 
 
 def test_online_prefix_estimates_do_not_use_later_days():
-    data, _, constants = small_sim(seed=7, days=4)
-    full = fit_online(data, constants, online_config())
-    short = fit_online(truncate(data, 2), constants, online_config())
+    data, _, constants = small_sim(seed=7, days=6)
+    full, _ = fit_online(data, constants, online_config())
+    # five days: the shortest prefix of this dataset that passes the gate
+    short, _ = fit_online(data.individual_prefix(5), constants, online_config())
     for i in range(data.n_individuals):
-        assert np.array_equal(full[i].median[:2], short[i].median)
-        assert np.array_equal(full[i].q025[:2], short[i].q025)
-        assert np.array_equal(full[i].q975[:2], short[i].q975)
+        assert np.array_equal(full[i].median[:5], short[i].median)
+        assert np.array_equal(full[i].q025[:5], short[i].q025)
+        assert np.array_equal(full[i].q975[:5], short[i].q975)
 
 
 def test_online_flags_pre_propriety_days():
     data, _, constants = small_sim(seed=8, days=4)
-    trajectories = fit_online(data, constants, online_config())
+    trajectories, _ = fit_online(data, constants, online_config())
     for traj in trajectories:
         assert traj.flagged[0]  # a single-day prefix cannot satisfy the gate
         assert len(traj.median) == 4
         assert np.all(traj.q025 <= traj.median) and np.all(traj.median <= traj.q975)
 
 
+def test_online_freezes_only_the_individuals_whose_prefix_fails_the_gate(monkeypatch):
+    """In the day-3 chain, the individual whose first three days fail the
+    gate keeps its effect precisions at exactly 1 while the other's move."""
+    late = [[[1, 0]], [[0, 1]], mixed_two_test_day(), mixed_two_test_day()]
+    data = build_dataset([proper_individual(4), late])
+    constants = ModelConstants(sigma=0.7333, rho=0.118, delta_tmax=14.0,
+                               group_prior={"g": (0.0, 1.0)})
+    chains, run_chain = [], inference._run_chain
+
+    def recording_run_chain(*args):
+        chains.append(run_chain(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(inference, "_run_chain", recording_run_chain)
+    config = SamplerConfig(n_iterations=30, burn_in=0, thin=1, seed=3, mode="online",
+                           fixed_drift_sd=0.05)  # every sweep is a kept draw
+    trajectories, _ = fit_online(data, constants, config)
+
+    day3 = chains[2]
+    for sd in (day3.test_effect_sd, day3.day_effect_sd):
+        assert np.all(sd[:, 1] == 1.0)
+        assert np.all(sd[:, 0] != 1.0)
+    gate = [[bool(individual_propriety_failures(data.individual_prefix(t), i))
+             for t in range(1, 5)] for i in range(2)]
+    assert gate == [[True, False, False, False], [True, True, True, False]]
+    assert [traj.flagged.tolist() for traj in trajectories] == gate
+
+
+@pytest.mark.parametrize("seed", [103, 104, 105])
+def test_online_medians_stay_near_the_truth_from_day_six(seed):
+    """On the paper design cut to 20 days, every on-line median from day 6
+    on lies within 3.5 logits of the true ability.  Before day 6 a short
+    prefix's posterior has a real heavy tail towards the growth asymptote."""
+    sim = replace(paper_default_config(seed), days=20)
+    data, truth = simulate_dataset(sim)
+    config = SamplerConfig(n_iterations=40, burn_in=20, thin=1, seed=seed, mode="online",
+                           fixed_drift_sd=0.0218)
+    trajectories, _ = fit_online(data, sim.constants(), config)
+    for i, traj in enumerate(trajectories):
+        days = np.arange(6, len(traj.median) + 1)
+        error = traj.median[days - 1] - truth.theta[truth.theta_start[i] + days]
+        assert np.all(np.abs(error) < 3.5), (i, np.abs(error).max())
+
+
 def test_online_mode_fixes_drift_precision():
     data, _, constants = small_sim(seed=9)
-    out, state = _run_chain(data, constants, online_config())
-    assert state.drift_precision == pytest.approx(0.0612 ** -2)
+    out = _run_chain(data, constants, online_config())
     assert np.allclose(out.drift_sd, 0.0612, rtol=1e-14)
 
 

@@ -56,12 +56,23 @@ def test_counts_and_offsets():
 
 
 def test_individual_prefix():
-    data = build_dataset([proper_individual(4), proper_individual(2)])
-    sub = data.individual_prefix(0, 2)
-    assert sub.n_individuals == 1
-    assert list(sub.days) == [2]
-    assert sub.n_items == 8
-    assert np.array_equal(sub.response, data.response[:8])
+    """Every individual's first min(n_days, T_i) days, as if built from them."""
+    responses = [[[[1, 0], [0]], [[1]], [[0, 1, 1], [1, 0], [0]], [[1, 1]]],
+                 [[[0, 1]], [[1], [0, 0]]]]
+    difficulties = [[[0.1 * (t + s) for s in range(len(day))] for t, day in enumerate(ind)]
+                    for ind in responses]
+    lapses = [[1.0 + t for t in range(len(ind))] for ind in responses]
+    data = build_dataset(responses, difficulties, lapses, ["a", "b"])
+    for n_days in (1, 2, 3, 4, 9):
+        sub = data.individual_prefix(n_days)
+        want = build_dataset([ind[:n_days] for ind in responses],
+                             [ind[:n_days] for ind in difficulties],
+                             [ind[:n_days] for ind in lapses], ["a", "b"])
+        for name in ("days", "tests_per_day", "items_per_test", "response",
+                     "difficulty", "lapse", "group"):
+            assert np.array_equal(getattr(sub, name), getattr(want, name)), name
+    with pytest.raises(DataError):
+        data.individual_prefix(0)
 
 
 # ---------------------------------------------------------------------------
