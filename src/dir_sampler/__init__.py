@@ -2,7 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .distributions import make_rng, sample_gamma, sample_ks, sample_truncated_normal
+from .distributions import (ks_quantile, make_rng, sample_gamma, sample_ks,
+                            sample_truncated_normal)
 from .errors import (ConfigError, DataError, DirSamplerError, NumericError,
                      ValidationError)
 from .gibbs import SweepWorkspace, gibbs_sweep

@@ -6,7 +6,8 @@ manifest.json recording the resolved configuration, seed, and input
 checksums, sufficient to re-run bit-identically.  A fit's manifest also
 records its data directory, where summarize finds the truth.csv that
 simulate wrote.  A fit also writes run_report.json with the wall time, sweep
-count and K-S acceptance rate of each chain, or of each day's chain on-line.
+count, K-S acceptance rate and guard-redraw count of each chain, or of each
+day's chain on-line.
 Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
 """
 

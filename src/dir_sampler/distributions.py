@@ -4,13 +4,14 @@ Everything here is deterministic given the generator state: one seeded
 ``numpy.random.Generator`` (PCG64) per chain, consumed in a fixed call
 order.  The truncated-normal and Kolmogorov-Smirnov samplers are written
 against uniforms from that generator so draw sequences are reproducible
-across platforms.
+across platforms.  The Kolmogorov-Smirnov quantile is computed here in
+numpy (``ks_quantile``); only the truncated normal uses ``scipy.special``,
+imported on first use so that processes which never sample do not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc, erfcinv, kolmogi
 
 from .errors import NumericError
 
@@ -21,6 +22,11 @@ Rng = np.random.Generator
 _TAIL_SWITCH = 4.0
 _TINY = np.nextafter(0.0, 1.0)
 
+# P(K <= 1): ks_quantile inverts the lower-tail series up to here, the upper above
+_KS_SPLIT = 0.7300003283226455
+_PI_SQ_8 = np.pi ** 2 / 8.0
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
 
 def make_rng(seed: int) -> Rng:
     """Seeded PCG64 generator; the single source of randomness for a chain."""
@@ -28,11 +34,13 @@ def make_rng(seed: int) -> Rng:
 
 
 def _std_normal_sf(x):
+    from scipy.special import erfc
     return 0.5 * erfc(x / np.sqrt(2.0))
 
 
 def _std_normal_isf(p):
     # inverse survival function, accurate for very small p
+    from scipy.special import erfcinv
     return np.sqrt(2.0) * erfcinv(2.0 * p)
 
 
@@ -112,12 +120,71 @@ def sample_gamma(rng: Rng, shape, rate):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sample_ks(rng: Rng, size=None):
-    """Draw from the Kolmogorov-Smirnov law by inversion.
+def _ks_lower_quantile(u: np.ndarray) -> np.ndarray:
+    """Solve F(x) = u for 0 < u <= P(K <= 1) by Newton steps on log F in y = 1/x^2.
 
-    ``kolmogi`` is the compiled inverse of the K-S survival function, so a
-    uniform u maps to kolmogi(1 - u); 1 - u is exact because the generator
-    returns multiples of 2^-53.
+    Jacobi's form F = sqrt(2 pi y) exp(-pi^2 y/8) (1 + r + r^3 + r^6), with
+    r = exp(-pi^2 y) <= exp(-pi^2), omits terms below 1e-30 of the sum.  log F
+    is concave and decreasing in y, so no step overshoots to y <= 0.  The start
+    solves the one-term equation pi^2 y/8 - log(y)/2 = log(sqrt(2 pi)/u) to
+    first order; the third step reaches rounding error.
     """
-    out = np.maximum(kolmogi(1.0 - rng.random(size)), _TINY)
+    target = np.log(u) - _HALF_LOG_2PI
+    y = -target / _PI_SQ_8
+    y += 0.5 * np.log(y) / _PI_SQ_8
+    for _ in range(3):
+        e = np.exp(-_PI_SQ_8 * y)
+        r = np.square(np.square(np.square(e)))  # exp(-pi^2 y)
+        r3 = r * r * r
+        r6 = r3 * r3
+        series = 1.0 + r + r3 + r6
+        slope = 0.5 / y - _PI_SQ_8 - np.pi ** 2 * (r + 3.0 * r3 + 6.0 * r6) / series
+        y -= (np.log(np.sqrt(y) * e * series) - target) / slope
+    return 1.0 / np.sqrt(y)
+
+
+def _ks_upper_quantile(u: np.ndarray) -> np.ndarray:
+    """Solve F(x) = u for P(K <= 1) < u < 1 by Newton steps on log S in w = x^2.
+
+    The survival function S = 2q (1 - q^3 + q^8 - q^15 + q^24), with
+    q = exp(-2w) < exp(-2), omits terms below 1e-30 of the sum.  The start is
+    the one-term solution 2q = 1 - u (exact for the generator's multiples of
+    2^-53), off by at most q^3 < 3e-3 relatively; one step leaves 1e-7, the
+    second rounding error.
+    """
+    w0 = 0.5 * np.log(2.0 / (1.0 - u))
+    w = w0.copy()
+    for _ in range(2):
+        q = np.exp(-2.0 * w)
+        q3 = q * q * q
+        q8 = q3 * q3 * q * q
+        q15 = q8 * q3 * q3 * q
+        q24 = q15 * q8 * q
+        series = 1.0 - q3 + q8 - q15 + q24
+        slope = -2.0 + 2.0 * (3.0 * q3 - 8.0 * q8 + 15.0 * q15 - 24.0 * q24) / series
+        w -= (np.log(series) - 2.0 * (w - w0)) / slope  # log(S / (1 - u)) / slope
+    return np.sqrt(w)
+
+
+def ks_quantile(u) -> np.ndarray:
+    """Kolmogorov-Smirnov quantile: the x with P(K <= x) = u, elementwise.
+
+    Three (lower) or two (upper) Newton steps on the series of each tail,
+    split at x = 1, bring F(x) within 1e-13 of u, relatively, for u in
+    [2^-53, 1 - 2^-53]; u = 0 maps to the smallest positive float.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    x = np.full_like(flat, _TINY)
+    lower = np.flatnonzero((flat > 0.0) & (flat <= _KS_SPLIT))
+    upper = np.flatnonzero(flat > _KS_SPLIT)
+    x[lower] = _ks_lower_quantile(flat[lower])
+    x[upper] = _ks_upper_quantile(flat[upper])
+    return x.reshape(u.shape)
+
+
+def sample_ks(rng: Rng, size=None):
+    """Draw from the Kolmogorov-Smirnov law by inversion: one uniform per
+    draw, mapped through ``ks_quantile``."""
+    out = ks_quantile(rng.random(size))
     return float(out) if np.ndim(out) == 0 else out

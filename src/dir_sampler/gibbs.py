@@ -37,7 +37,7 @@ class SweepWorkspace:
     boundaries, the truncated lapses and per-individual prior parameters.
     ``frozen`` marks the individuals whose effect precisions are held at
     their current values (none by default).  Also counts the mixture-scale
-    proposals and acceptances for the run report.
+    proposals and acceptances and the guard redraws for the run report.
     """
 
     def __init__(self, data: Dataset, constants: ModelConstants,
@@ -75,6 +75,7 @@ class SweepWorkspace:
         self.psi = np.empty(data.n_items)
         self.ks_proposals = 0
         self.ks_accepted = 0
+        self.guard_redraws = 0
 
     def refresh_obs_precision(self, state: LatentState) -> None:
         """psi = 1/(4 nu^2 + sigma^2) for the current mixture scales."""
@@ -168,11 +169,12 @@ def update_test_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> N
     eta[last] = -np.add.reduceat(eta, days)
 
 
-def _guarded_gamma(rng: Rng, shape, rate_fn, redraw, what: str):
+def _guarded_gamma(rng: Rng, work: SweepWorkspace, shape, rate_fn, redraw, what: str):
     """Gamma draw with the degenerate-rate guard: a zero rate triggers one
-    redraw of the offending latent block, then a hard error."""
+    (counted) redraw of the offending latent block, then a hard error."""
     rate = rate_fn()
     if np.any(rate == 0.0):
+        work.guard_redraws += 1
         redraw()
         rate = rate_fn()
         if np.any(rate == 0.0):
@@ -195,7 +197,7 @@ def update_test_effect_precision(rng: Rng, state: LatentState,
         return per[free] / 2.0
 
     state.test_effect_precision[free] = _guarded_gamma(
-        rng, shape[free], rate, lambda: update_test_effects(rng, state, work),
+        rng, work, shape[free], rate, lambda: update_test_effects(rng, state, work),
         "test-effect precision")
 
 
@@ -224,7 +226,7 @@ def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspa
         return per[free] / 2.0
 
     state.day_effect_precision[free] = _guarded_gamma(
-        rng, shape[free], rate, lambda: update_day_effects(rng, state, work),
+        rng, work, shape[free], rate, lambda: update_day_effects(rng, state, work),
         "day-effect precision")
 
 
@@ -247,7 +249,7 @@ def update_drift_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
         return float(np.sum(resid * resid * work.inv_lapse)) / 2.0
 
     state.drift_precision = float(_guarded_gamma(
-        rng, shape, rate, lambda: update_abilities(rng, state, work), "drift precision"))
+        rng, work, shape, rate, lambda: update_abilities(rng, state, work), "drift precision"))
 
 
 def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:

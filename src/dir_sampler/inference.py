@@ -49,6 +49,7 @@ class ChainOutput:
     thin: int
     wall_time: float
     ks_accept_rate: float       # accepted share of the mixture-scale proposals
+    guard_redraws: int          # latent blocks redrawn by the gamma-rate guard
 
     @property
     def n_draws(self) -> int:
@@ -81,9 +82,10 @@ def _stream_seed(*key) -> np.random.SeedSequence:
 
 
 def chain_report(output: ChainOutput) -> dict:
-    """A chain's run-report entry: wall time, sweeps, K-S acceptance rate."""
+    """A chain's run-report entry: wall time, sweeps, K-S acceptance rate,
+    guard redraws."""
     return {"wall_time_s": output.wall_time, "sweeps": output.n_iterations,
-            "ks_accept_rate": output.ks_accept_rate}
+            "ks_accept_rate": output.ks_accept_rate, "guard_redraws": output.guard_redraws}
 
 
 def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
@@ -121,7 +123,8 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
         **draws, summaries=_summaries(draws), days=data.days.copy(),
         n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
         wall_time=time.perf_counter() - start,
-        ks_accept_rate=work.ks_accepted / work.ks_proposals)
+        ks_accept_rate=work.ks_accepted / work.ks_proposals,
+        guard_redraws=work.guard_redraws)
 
 
 def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> ChainOutput:

@@ -234,8 +234,8 @@ class ModelConstants:
             raise ConfigError("sigma must be finite and > 0")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ConfigError("rho must be finite and > 0")
-        if not (self.delta_tmax > 0.0):
-            raise ConfigError("delta_tmax must be > 0")
+        if not (self.delta_tmax > 0.0 and math.isfinite(self.delta_tmax)):
+            raise ConfigError("delta_tmax must be finite and > 0")
         for label, (mu, v) in self.group_prior.items():
             if not (v > 0.0 and math.isfinite(v) and math.isfinite(mu)):
                 raise ConfigError(f"group {label!r}: prior variance must be finite and > 0")

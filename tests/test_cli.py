@@ -141,6 +141,7 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("simulate", "--paper-defaults"), {"test_effect_precision": [1e400] * 10},
      "test_effect_precision"),
     (("simulate", "--paper-defaults"), {"lapse_table": [[1e400] * 50] * 10}, "lapse_table"),
+    (("fit", *SHORT_FIT), {"delta_tmax": 1e400}, "delta_tmax"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
@@ -370,10 +371,51 @@ def test_fit_writes_run_report(data_dir, tmp_path, capsys, command, chains):
     else:
         assert list(report) == ["chains"] and len(report["chains"]) == chains
     for chain in report.popitem()[1]:
-        assert sorted(chain) == ["ks_accept_rate", "sweeps", "wall_time_s"]
+        assert sorted(chain) == ["guard_redraws", "ks_accept_rate", "sweeps", "wall_time_s"]
         assert chain["sweeps"] == 30 and chain["wall_time_s"] > 0.0
         assert 0.0 < chain["ks_accept_rate"] <= 1.0
+        assert chain["guard_redraws"] == 0
     assert "run_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
+def run_stage_in_subprocess(*argv) -> tuple[int, bool]:
+    """Exit code of one CLI stage run in a fresh interpreter, and whether the
+    stage left ``scipy.special`` imported."""
+    script = ("import json, sys\n"
+              "from dir_sampler import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, 'scipy.special' in sys.modules]))\n")
+    done = subprocess.run([sys.executable, "-c", script, *map(str, argv)], check=True,
+                          env=src_env(), capture_output=True, text=True)
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_only_fit_loads_scipy_special(tmp_path):
+    """``scipy.special`` serves only the sampler's truncated-normal draw, so
+    the stages that do not sample never pay for importing it."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"days": 20, "items_per_test": 2}))
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    stages = {
+        "simulate": ("simulate", "--paper-defaults", "--config", tmp_path / "cfg.json",
+                     "-o", data),
+        "validate": ("validate", data),
+        "fit": ("fit", data, "--iterations", 4, "--burn-in", 2, "--thin", 1, "-o", fit),
+        "summarize": ("summarize", fit, "-o", tmp_path / "again"),
+    }
+    loaded = {}
+    for stage, argv in stages.items():
+        code, loaded[stage] = run_stage_in_subprocess(*argv)
+        assert code == 0, stage
+    assert loaded == {"simulate": False, "validate": False, "fit": True, "summarize": False}
 
 
 def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
@@ -401,12 +443,9 @@ def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
 
 def traced_spans(tmp_path, *cli_args) -> list:
     """The spans of one CLI run under ``perfbench/tracing.py``."""
-    root = Path(__file__).resolve().parents[1]
     spans_path = tmp_path / "spans.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, str(root / "perfbench" / "tracing.py"), str(spans_path),
-                    *map(str, cli_args)], check=True, env=env, capture_output=True)
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans_path),
+                    *map(str, cli_args)], check=True, env=src_env(), capture_output=True)
     return json.loads(spans_path.read_text())["spans"]
 
 

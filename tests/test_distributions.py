@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import kolmogi
 
-from dir_sampler import make_rng, sample_gamma, sample_ks, sample_truncated_normal
+from dir_sampler import ks_quantile, make_rng, sample_gamma, sample_ks, sample_truncated_normal
 
 from conftest import mc_se_mean
 
@@ -162,6 +163,77 @@ def ks_cdf(x):
         val = 1.0 - ks_series(x[live], lambda k, x: 2.0, 1.0)
         out[live] = np.clip(val, 0.0, 1.0)
     return float(out[0]) if scalar else out
+
+
+def ks_sf(x):
+    """Kolmogorov-Smirnov survival function 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2),
+    relatively accurate in the upper tail, where 1 - ks_cdf cancels."""
+    return ks_series(np.asarray(x, dtype=float), lambda k, x: 2.0, 1.0)
+
+
+def ks_cdf_lower_tail(x):
+    """Jacobi's form of the same CDF, sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2/(8 x^2)),
+    relatively accurate in the lower tail, where ks_cdf is 1 minus a sum near 1."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    for k in range(1, 1000):
+        term = np.exp(-(2 * k - 1) ** 2 * np.pi ** 2 / (8.0 * x * x))
+        total += term
+        if np.all(term <= 1e-17 * total):
+            return np.sqrt(2.0 * np.pi) / x * total
+    raise AssertionError("Jacobi series failed to converge")
+
+
+KS_SPLIT = 0.7300003283226455  # P(K <= 1), where ks_quantile changes series
+
+
+def test_ks_series_oracles_agree_where_both_are_accurate():
+    x = np.linspace(0.5, 1.5, 101)
+    assert np.allclose(ks_cdf_lower_tail(x), ks_cdf(x), rtol=1e-14, atol=0.0)
+    assert np.allclose(1.0 - ks_sf(x), ks_cdf(x), rtol=1e-14, atol=0.0)
+    assert ks_cdf(1.0) == pytest.approx(KS_SPLIT, rel=1e-15)
+
+
+def test_ks_quantile_inverts_the_series_cdf():
+    # log-spaced from 2^-53 up to the split, and 1 - u log-spaced from the split
+    # up to 1 - 2^-53; each side checked against its relatively accurate series
+    # (1 - u is exact for these multiples of 2^-53)
+    grid = np.round(2.0 ** np.linspace(0.0, 53.0, 400)) * 2.0**-53
+    split = np.array([np.nextafter(KS_SPLIT, 0.0), KS_SPLIT, np.nextafter(KS_SPLIT, 1.0)])
+    u = np.unique(np.concatenate([grid, 1.0 - grid, split]))
+    u = u[(u > 0.0) & (u < 1.0)]
+    x = ks_quantile(u)
+    lower = u <= KS_SPLIT
+    assert np.count_nonzero(lower) > 150 and np.count_nonzero(~lower) > 150
+    assert np.max(np.abs(ks_cdf_lower_tail(x[lower]) / u[lower] - 1.0)) <= 1e-13
+    assert np.max(np.abs(ks_sf(x[~lower]) / (1.0 - u[~lower]) - 1.0)) <= 1e-13
+    bulk = u >= 1e-3  # ks_cdf's 1 - S rounds to about 1e-16/u relative
+    assert np.max(np.abs(ks_cdf(x[bulk]) / u[bulk] - 1.0)) <= 1e-12
+    assert ks_quantile(KS_SPLIT) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_ks_quantile_is_monotone_across_the_split():
+    near = KS_SPLIT + np.arange(-10_000, 10_001) * 2.0**-50
+    assert np.all(np.diff(ks_quantile(near)) > 0.0)
+    coarse = np.arange(2**16) * 2.0**-16
+    x = ks_quantile(coarse)
+    assert x[0] == np.nextafter(0.0, 1.0) and np.all(np.diff(x) > 0.0)
+
+
+def test_ks_quantile_agrees_with_kolmogi():
+    # scipy's compiled inverse of the survival function as an independent oracle
+    u = make_rng(10).random(10**6)
+    assert np.max(np.abs(ks_quantile(u) / kolmogi(1.0 - u) - 1.0)) <= 1e-12
+
+
+def test_sample_ks_consumes_one_uniform_per_draw():
+    rng, replay = make_rng(12), make_rng(12)
+    draws = sample_ks(rng, 1000)
+    scalar = sample_ks(rng)
+    u = replay.random(1001)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert np.array_equal(draws, ks_quantile(u[:1000]))
+    assert scalar == ks_quantile(u[1000])
 
 
 def test_ks_density_zero_outside_support():

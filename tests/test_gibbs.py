@@ -249,6 +249,17 @@ def tau_replicas(n, eta=0.5):
     return data, work, state
 
 
+def test_test_effect_precision_zero_rate_redraw_is_counted():
+    data, work, state = frozen_setup([proper_individual(3), proper_individual(3)])
+    state.test_effect[:] = np.tile([0.5, -0.5], data.n_tests // 2)
+    state.test_effect[work.test_individual == 0] = 0.0  # zero rate for individual 0
+    assert work.guard_redraws == 0
+    update_test_effect_precision(make_rng(6), state, work)
+    assert work.guard_redraws == 1
+    assert np.all(state.test_effect_precision > 0.0)
+    assert np.any(state.test_effect[work.test_individual == 0] != 0.0)  # block redrawn
+
+
 def test_test_effect_precision_moment_oracle():
     n = 20_000
     eta = 0.5

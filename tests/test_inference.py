@@ -267,7 +267,7 @@ def test_read_traces_csv_memory_is_bounded_by_its_arrays(tmp_path):
     path = tmp_path / "traces.csv"
     write_traces_csv(ChainOutput(**draws, summaries={}, days=np.full(n, 6),
                                  n_iterations=400, burn_in=200, thin=1, wall_time=0.0,
-                                 ks_accept_rate=1.0), path)
+                                 ks_accept_rate=1.0, guard_redraws=0), path)
     (back, _, _), peak = traced_peak(read_traces_csv, path)
     for name, arr in draws.items():
         assert np.array_equal(back[name], arr), name
