@@ -7,7 +7,10 @@ checksums, sufficient to re-run bit-identically.  A fit's manifest also
 records its data directory, where summarize finds the truth.csv that
 simulate wrote.  A fit also writes run_report.json with the wall time, sweep
 count, K-S acceptance rate and guard-redraw count of each chain, or of each
-day's chain on-line.
+day's chain on-line.  Each chain writes its own traces.csv and summary.csv,
+into the output directory for one chain and into chain_NN/ for several, from
+the pool worker that ran it; the pooled summary.csv of several chains goes
+next to the manifest.
 Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
 """
 
@@ -180,8 +183,15 @@ def _constants_from(cfg: dict, data: Dataset) -> ModelConstants:
 
 
 def _fit_one_chain(packed):
-    data, constants, config = packed
-    return inference.fit(data, constants, config)
+    """Fit one chain and write its traces.csv and summary.csv to its
+    directory, in the pool worker that runs it; returns the chain's output."""
+    data, constants, config, chain_dir = packed
+    output = inference.fit(data, constants, config)
+    chain_dir.mkdir(exist_ok=True)
+    inference.write_traces_csv(output, chain_dir / inference.TRACES_FILE)
+    inference.write_summary_csv(output.summaries, output.days,
+                                chain_dir / inference.SUMMARY_FILE)
+    return output
 
 
 def cmd_fit(args, force_online: bool = False) -> int:
@@ -222,21 +232,17 @@ def cmd_fit(args, force_online: bool = False) -> int:
         command, written, run_report = "fit --mode online", [path], {"refits": refits}
         done = f"on-line trajectories for {data.n_individuals} individuals -> {path}"
     else:
-        command, written = "fit", []
-        chain_configs = [replace(config, seed=config.seed + k) for k in range(chains)]
+        chain_dirs = ([out_dir / f"chain_{k:02d}" for k in range(chains)] if chains > 1
+                      else [out_dir])
+        packed = [(data, constants, replace(config, seed=config.seed + k), chain_dir)
+                  for k, chain_dir in enumerate(chain_dirs)]
         if chains == 1:
-            outputs = [inference.fit(data, constants, config)]
+            outputs = [_fit_one_chain(packed[0])]
         else:
             with ProcessPoolExecutor(max_workers=_max_workers(chains)) as pool:
-                outputs = list(pool.map(_fit_one_chain,
-                                        [(data, constants, c) for c in chain_configs]))
-        for k, output in enumerate(outputs):
-            chain_dir = out_dir / f"chain_{k:02d}" if chains > 1 else out_dir
-            chain_dir.mkdir(parents=True, exist_ok=True)
-            tp, sp = chain_dir / inference.TRACES_FILE, chain_dir / inference.SUMMARY_FILE
-            inference.write_traces_csv(output, tp)
-            inference.write_summary_csv(output.summaries, output.days, sp)
-            written.extend([tp, sp])
+                outputs = list(pool.map(_fit_one_chain, packed))
+        command, written = "fit", [chain_dir / name for chain_dir in chain_dirs
+                                   for name in (inference.TRACES_FILE, inference.SUMMARY_FILE)]
         if chains > 1:
             pooled_draws = {name: np.concatenate([o.draw_arrays()[name] for o in outputs])
                             for name in outputs[0].draw_arrays()}
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
         for clause, detail in exc.report.failures:
             print(f"  violated clause: {clause} ({detail})", file=sys.stderr)
         return 2
-    except DirSamplerError as exc:
+    except (DirSamplerError, OSError) as exc:  # OSError: a path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ the thinned post-burn-in draws.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
-from .model import (Dataset, ModelConstants, SamplerConfig, _fmt, _offsets, initial_state,
+from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_state,
                     individual_propriety_failures, read_keyed_csv, theta_offsets,
                     validate_dataset, write_keyed_csv)
 
@@ -261,15 +260,15 @@ def write_summary_csv(summaries: dict, days: np.ndarray, path) -> None:
 
 
 def write_online_csv(trajectories, path) -> None:
-
+    """One row per individual and day t: the (2.5%, 50%, 97.5%) quantiles of
+    the day-t ability from the day-t chain, and whether its prefix was flagged."""
     with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["individual", "day", "q025", "median", "q975", "flagged"])
+        fh.write("individual,day,q025,median,q975,flagged\r\n")  # the row end of csv.writer
         for traj in trajectories:
-            for t in range(len(traj.median)):
-                w.writerow([traj.individual + 1, t + 1, _fmt(traj.q025[t]),
-                            _fmt(traj.median[t]), _fmt(traj.q975[t]),
-                            int(traj.flagged[t])])
+            n_days = len(traj.median)
+            fh.writelines("%d,%d,%.17g,%.17g,%.17g,%d\r\n" % row for row in zip(
+                [traj.individual + 1] * n_days, range(1, n_days + 1), traj.q025.tolist(),
+                traj.median.tolist(), traj.q975.tolist(), traj.flagged.tolist()))
 
 
 def read_traces_csv(path):

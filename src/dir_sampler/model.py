@@ -559,14 +559,16 @@ def _key_text(key) -> str:
 def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
                     series) -> None:
     """Write a keyed file: ``series`` yields the values of each series in
-    layout order, written as rows of ``len(header) - 3`` fields by ``_fmt``."""
+    layout order, written as rows of ``len(header) - 3`` fields.  Each series
+    is formatted by one ``%`` operation on a row template repeated once per
+    row; ``%.17g`` prints the same text as ``_fmt``."""
     width = len(header) - 3
+    row = ",".join(["%.17g"] * width) + "\r\n"  # the row end of csv.writer
     with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")  # the row end of csv.writer
+        fh.write(",".join(header) + "\r\n")
         for key, values in zip(keyed_layout(days, names), series, strict=True):
-            prefix = ",".join(key) + ","
-            fh.write("".join([prefix + ",".join(map(_fmt, row)) + "\r\n"
-                              for row in np.reshape(values, (-1, width)).tolist()]))
+            values = np.ravel(values).tolist()
+            fh.write((",".join(key) + "," + row) * (len(values) // width) % tuple(values))
 
 
 def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:

@@ -4,6 +4,7 @@ tracer run on the CLI."""
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -441,6 +442,56 @@ def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
         assert [float(row[q]) for q in ("q025", "median", "q975")] == want.tolist()
 
 
+def test_each_chain_writes_what_a_one_chain_fit_with_its_seed_writes(data_dir, tmp_path,
+                                                                    capsys):
+    """Chain k of ``--chains 2 --seed s`` is ``--chains 1 --seed s+k``, byte
+    for byte, wherever the pool runs it; the manifests list the same outputs."""
+    sampler = ("--iterations", 30, "--burn-in", 10, "--thin", 2)
+    code, _ = run(capsys, "fit", data_dir, *sampler, "--chains", 2, "--seed", 5,
+                  "-o", tmp_path / "pooled")
+    assert code == 0
+    for k in (0, 1):
+        single = tmp_path / f"single_{k}"
+        code, _ = run(capsys, "fit", data_dir, *sampler, "--chains", 1, "--seed", 5 + k,
+                      "-o", single)
+        assert code == 0
+        for name in ("traces.csv", "summary.csv"):
+            assert ((tmp_path / "pooled" / f"chain_{k:02d}" / name).read_bytes()
+                    == (single / name).read_bytes())
+        assert (json.loads((single / "manifest.json").read_text())["outputs"]
+                == ["run_report.json", "summary.csv", "traces.csv"])
+    assert (json.loads((tmp_path / "pooled" / "manifest.json").read_text())["outputs"]
+            == ["run_report.json", "summary.csv"])
+
+
+@pytest.mark.parametrize("stage", ["simulate", "fit", "fit --chains 2", "online",
+                                   "summarize", "chain worker"])
+def test_output_that_cannot_be_written_is_an_error_naming_the_path(data_dir, fit_dir,
+                                                                   tmp_path, capsys, stage):
+    """An output directory under a regular file cannot be made; neither can
+    a chain directory where a file of that name exists, which a pool worker
+    finds.  Each ends in exit 1 and a message naming the path."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    argv = {
+        "simulate": ("simulate", "--paper-defaults", "-o", out),
+        "fit": ("fit", data_dir, *SHORT_FIT, "-o", out),
+        "fit --chains 2": ("fit", data_dir, *SHORT_FIT, "--chains", 2, "-o", out),
+        "online": ("online", data_dir, *SHORT_FIT, "--drift-sd", 0.05, "-o", out),
+        "summarize": ("summarize", fit_dir, "-o", out),
+    }
+    if stage == "chain worker":
+        out = tmp_path / "chains"
+        out.mkdir()
+        (out / "chain_01").write_text("")
+        argv[stage] = ("fit", data_dir, *SHORT_FIT, "--chains", 2, "-o", out)
+    code, err = run(capsys, *argv[stage])
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(out / "chain_01" if stage == "chain worker" else out) in err
+    assert not (out / "manifest.json").exists()
+
+
 def traced_spans(tmp_path, *cli_args) -> list:
     """The spans of one CLI run under ``perfbench/tracing.py``."""
     spans_path = tmp_path / "spans.json"
@@ -482,3 +533,27 @@ def test_benchmark_tracer_sees_the_trace_read_and_summary_write(fit_dir, tmp_pat
                                                      "-o", tmp_path / "again"))
     assert calls["inference.read_traces_csv"] == 1
     assert calls["inference.write_summary_csv"] == 1
+
+
+def test_benchmark_tracer_records_each_chain_write_in_its_pool_worker(tmp_path, capsys):
+    """``perfbench/tracing.py`` wraps ``cli._fit_one_chain`` to collect the
+    spans of forked pool workers; each chain's trace write must show up
+    there once, or the benchmark's write metrics would read zero."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    (tmp_path / "cfg.json").write_text(json.dumps({"days": 20, "items_per_test": 2}))
+    data, spans_path = tmp_path / "data", tmp_path / "spans.json"
+    code, _ = run(capsys, "simulate", "--paper-defaults", "--config", tmp_path / "cfg.json",
+                  "-o", data)
+    assert code == 0
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans_path),
+                    "fit", str(data), "--iterations", "6", "--burn-in", "2", "--thin", "1",
+                    "--chains", "2", "-o", str(tmp_path / "fit")],
+                   check=True, env=src_env(), capture_output=True)
+    spans, _ = tracing.load(spans_path)
+    pid = lambda span_id: span_id.split(":")[0]
+    [main_pid] = [pid(span_id) for name, _, _, span_id, _ in spans if name == "cli.main"]
+    writes = [pid(span_id) for name, _, _, span_id, _ in spans
+              if name == "inference.write_traces_csv"]
+    assert len(writes) == 2 and main_pid not in writes

@@ -12,7 +12,7 @@ from dir_sampler import (ConfigError, DataError, Dataset, ModelConstants,
                          SamplerConfig, initial_state, read_dataset_csv,
                          simulate_dataset, validate_dataset, write_dataset_csv)
 from dir_sampler.model import (CLAUSE_DAYS, CLAUSE_MIXED, CLAUSE_MULTITEST_DAYS,
-                               CLAUSE_N, CLAUSE_TEST_SHAPE)
+                               CLAUSE_N, CLAUSE_TEST_SHAPE, keyed_layout, write_keyed_csv)
 from dir_sampler.simgen import SimConfig, paper_default_config
 
 from conftest import build_dataset, proper_individual, traced_peak
@@ -327,6 +327,31 @@ def test_read_rejects_inconsistent_difficulty(tmp_path):
     (tmp_path / "responses.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError):
         read_dataset_csv(tmp_path)
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308,
+                     1.7976931348623157e308, 3.0, -7.0, 2.0 ** 53 + 2]),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_write_keyed_csv_matches_per_value_formatting(tmp_path_factory, days, width, data):
+    """The row-template writer prints what per-value ``format(x, ".17g")``
+    with csv.writer row ends prints, for ragged days and 1-3 values a row."""
+    names = ("a", "b", "c", "d", "e")
+    header = ("quantity", "individual", "day", *(f"v{j}" for j in range(width)))
+    keys = keyed_layout(days, names)
+    rows = st.integers(1, 3).flatmap(lambda r: st.lists(FINITE, min_size=r * width,
+                                                        max_size=r * width))
+    series = [np.reshape(data.draw(rows), (-1, width)) for _ in keys]
+    path = tmp_path_factory.mktemp("keyed") / "keyed.csv"
+    write_keyed_csv(path, header, names, days, series)
+    want = [",".join(header)] + [",".join([*key, *(format(x, ".17g") for x in row)])
+                                 for key, rows in zip(keys, series) for row in rows.tolist()]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in want).encode()
 
 
 def test_read_dataset_csv_memory_is_bounded_by_its_columns(tmp_path):
