@@ -9,8 +9,8 @@ simulate wrote.  A fit also writes run_report.json with the wall time, sweep
 count, K-S acceptance rate and guard-redraw count of each chain, or of each
 day's chain on-line.  Each chain writes its own traces.csv and summary.csv,
 into the output directory for one chain and into chain_NN/ for several, from
-the pool worker that ran it; the pooled summary.csv of several chains goes
-next to the manifest.
+the pool worker that ran it; fit makes every chain_NN/ before any chain
+runs.  The pooled summary.csv of several chains goes next to the manifest.
 Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
 """
 
@@ -184,10 +184,10 @@ def _constants_from(cfg: dict, data: Dataset) -> ModelConstants:
 
 def _fit_one_chain(packed):
     """Fit one chain and write its traces.csv and summary.csv to its
-    directory, in the pool worker that runs it; returns the chain's output."""
+    directory, which must exist, in the pool worker that runs it; returns
+    the chain's output."""
     data, constants, config, chain_dir = packed
     output = inference.fit(data, constants, config)
-    chain_dir.mkdir(exist_ok=True)
     inference.write_traces_csv(output, chain_dir / inference.TRACES_FILE)
     inference.write_summary_csv(output.summaries, output.days,
                                 chain_dir / inference.SUMMARY_FILE)
@@ -234,6 +234,8 @@ def cmd_fit(args, force_online: bool = False) -> int:
     else:
         chain_dirs = ([out_dir / f"chain_{k:02d}" for k in range(chains)] if chains > 1
                       else [out_dir])
+        for chain_dir in chain_dirs:  # before any chain runs, so a bad path fails at once
+            chain_dir.mkdir(exist_ok=True)
         packed = [(data, constants, replace(config, seed=config.seed + k), chain_dir)
                   for k, chain_dir in enumerate(chain_dirs)]
         if chains == 1:
@@ -310,10 +312,10 @@ def cmd_summarize(args) -> int:
     traces = in_dir / inference.TRACES_FILE
     if not traces.exists():
         raise ConfigError(f"no {inference.TRACES_FILE} in {in_dir}")
-    draws, _, days = inference.read_traces_csv(traces)
-    summaries = inference._summaries(draws)
     out_dir = Path(args.output) if args.output else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    draws, _, days = inference.read_traces_csv(traces)
+    summaries = inference._summaries(draws)
 
     sp = out_dir / inference.SUMMARY_FILE
     inference.write_summary_csv(summaries, days, sp)

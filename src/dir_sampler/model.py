@@ -10,14 +10,19 @@ reader parses its files into such columns, and the writer emits them from
 the offset tables.  All indices are 0-based internally; the CSV
 interchange format is 1-based.  The truth, trace and summary files share
 one keyed row layout, written and read by the code at the end of this
-module (see ``keyed_layout``).
+module (see ``keyed_layout``).  Dataset files are parsed by the ``csv``
+module, since their group labels have no fixed width; keyed files by
+numpy's C parser, 8,192 lines at a time, into fixed-width keys and float
+values.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice, takewhile
 from pathlib import Path
@@ -466,28 +471,38 @@ def _parse(path: Path, lines: list, column, name: str, kind) -> np.ndarray:
     return values
 
 
-def _csv_rows(path: Path, header: Sequence[str]):
-    """Yield each non-blank row after the header, with its line number
-    appended; DataError names the file, and the line of a row at fault, for
-    a wrong header or field count and a file that cannot be opened, decoded
-    or parsed."""
+@contextmanager
+def _csv_body(path: Path, header: Sequence[str]):
+    """Open a CSV file and check its header row; yields the file and its
+    ``csv`` reader, both past the header.  DataError names the file, and the
+    line of a ``csv`` error, for a wrong header and a file that cannot be
+    opened, decoded or parsed."""
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None or [h.strip() for h in first] != list(header):
                 raise DataError(f"{path}: expected header {','.join(header)}")
-            for row in reader:
-                if row:
-                    if len(row) != len(header):
-                        raise DataError(f"{path} line {reader.line_num}: expected "
-                                        f"{len(header)} fields, got {len(row)}")
-                    row.append(reader.line_num)
-                    yield row
+            yield fh, reader
     except csv.Error as exc:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _csv_rows(path: Path, header: Sequence[str]):
+    """Yield each non-blank row after the header, with its line number
+    appended; DataError names the file, and the line of a row at fault, for
+    a wrong header or field count and a file that cannot be opened, decoded
+    or parsed."""
+    with _csv_body(path, header) as (_, reader):
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise DataError(f"{path} line {reader.line_num}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+                row.append(reader.line_num)
+                yield row
 
 
 _BLOCK_ROWS = 8192
@@ -571,22 +586,82 @@ def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
             fh.write((",".join(key) + "," + row) * (len(values) // width) % tuple(values))
 
 
+_BLANK_LINES = ("\n", "\r\n", "\r")
+_FIELD_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+_BAD_VALUE = re.compile(r"could not convert string (.*) to \S+ at row (\d+), column (\d+)")
+
+
+def _keyed_rows(path: Path, lines: list, first: int, dtype: np.dtype) -> tuple:
+    """Parse one block of a keyed file's ``lines``, the first of them at line
+    ``first``, with numpy's C parser; returns the structured rows and the
+    line of each.  Blank lines are skipped, as the ``csv`` module skips them;
+    DataError names the line of a row with the wrong field count, a value or
+    key that does not parse, a NUL character or a line break in quotes."""
+    line_of = np.arange(first, first + len(lines))
+    if sum(map(lines.count, _BLANK_LINES)):
+        line_of = line_of[[line not in _BLANK_LINES for line in lines]]
+    if "\0" in "".join(lines):  # a key field would drop it from the key's end
+        k = next(k for k, line in enumerate(lines) if "\0" in line)
+        raise DataError(f"{path} line {first + k}: NUL character")
+    if not len(line_of):
+        return np.empty(0, dtype), line_of
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None)
+    except ValueError as exc:  # loadtxt counts rows from 1 for a field count, else from 0
+        if m := _FIELD_COUNT.search(str(exc)):
+            raise DataError(f"{path} line {line_of[int(m[3]) - 1]}: expected {m[1]} "
+                            f"fields, got {m[2]}") from None
+        if m := _BAD_VALUE.search(str(exc)):
+            what = "a key" if int(m[3]) <= 3 else "float"
+            raise DataError(f"{path} line {line_of[int(m[2])]}: could not convert string "
+                            f"to {what}: {m[1]}") from None
+        raise DataError(f"{path} lines {first}-{first + len(lines) - 1}: {exc}") from None
+    if len(rows) != len(line_of):  # loadtxt joined the lines of a quoted line break
+        k = next((k for k, line in enumerate(lines) if line.count('"') % 2), 0)
+        raise DataError(f"{path} line {first + k}: a quoted field spans lines")
+    return rows, line_of
+
+
 def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
-    """Stream a keyed file into (days, blocks, lines): ``days`` inferred from
+    """Read a keyed file into (days, blocks, lines): ``days`` inferred from
     the first quantity's keys; per quantity, a float array of shape (series,
     rows per series, len(header) - 3), views of one buffer; and the line
     where each series starts.  Series out of layout order, missing or of
-    unequal length, and values that do not parse raise ``DataError``."""
+    unequal length, and rows that do not parse raise ``DataError``.
+
+    ``np.loadtxt`` parses the rows ``_BLOCK_ROWS`` lines at a time into
+    three byte-string key fields and the value columns.  A series starts
+    where a row's key differs from the row before it, the last key of a
+    block carried over to the next, and each block's values are appended to
+    one buffer, so at most one block is held as text and as rows.  Quoted
+    fields are read as the ``csv`` module reads them; a row starting with
+    ``#`` is a row, not a comment.
+    """
     path = Path(path)
+    width = len(header) - 3
+    # one byte wider than any key of the layout (a name, or at most 19
+    # digits), so a key that loadtxt cuts to the field's width matches none
+    dtype = np.dtype([("key", f"S{max(19, *map(len, names)) + 1}", 3),
+                      ("value", "f8", (width,))])
     buf, series, last = array("d"), [], None
-    try:
-        for row in _csv_rows(path, header):
-            if row[:3] != last:
-                last = row[:3]
-                series.append((tuple(last), row[-1], len(buf)))
-            buf.extend(map(float, row[3:-1]))
-    except ValueError as exc:
-        raise DataError(f"{path} line {row[-1]}: {exc}") from None
+    with _csv_body(path, header) as (fh, reader):
+        line = reader.line_num
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            rows, line_of = _keyed_rows(path, lines, line + 1, dtype)
+            line += len(lines)
+            del lines  # and rows below, before the next block is read: one at a time
+            if not len(rows):
+                continue
+            keys = rows["key"]
+            new = np.empty(len(rows), dtype=bool)
+            new[0] = last is None or np.any(keys[0] != last)
+            np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+            for r in np.flatnonzero(new).tolist():
+                series.append((tuple(k.decode("latin-1") for k in keys[r].tolist()),
+                               int(line_of[r]), len(buf) + r * width))
+            last = keys[-1].copy()
+            buf.frombytes(rows["value"].tobytes())
+            del rows, keys
     if not series or series[0][0][0] != names[0]:
         raise DataError(f"{path}: expected {names[0]} rows first")
     keys, lines, starts = zip(*series)
@@ -601,7 +676,7 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
                         f"layout order, expected {want}")
     if k < len(layout):
         raise DataError(f"{path}: no rows for {_key_text(layout[k])}")
-    sizes = np.diff(starts, append=len(buf)) // (len(header) - 3)
+    sizes = np.diff(starts, append=len(buf)) // width
     k = np.argmax(sizes != sizes[0])
     if sizes[k] != sizes[0]:
         raise DataError(f"{path} line {lines[k]}: {_key_text(keys[k])} has {sizes[k]} "

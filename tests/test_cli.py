@@ -196,6 +196,15 @@ def test_summarize_rejects_missing_series(tmp_path, capsys):
     assert "traces.csv: no rows for growth individual 1" in err
 
 
+def test_summarize_makes_its_output_directory_before_reading_traces(tmp_path, capsys):
+    write_traces(tmp_path / "fit", "quantity,individual,day,iteration,value",
+                 ["theta,1,0,x,0.5"])
+    (tmp_path / "file").write_text("")
+    code, err = run(capsys, "summarize", tmp_path / "fit", "-o", tmp_path / "file" / "out")
+    assert code == 1
+    assert str(tmp_path / "file" / "out") in err and "line 2" not in err
+
+
 def test_summarize_rewrites_the_fit_summary_byte_for_byte(data_dir, tmp_path, capsys):
     fit_dir = tmp_path / "fit"
     code, _ = run(capsys, "fit", data_dir, "--iterations", 30, "--burn-in", 10,
@@ -297,6 +306,20 @@ def test_summarize_rejects_traces_out_of_layout(fit_dir, capsys, edit, message):
 
 
 FIT_ARGS = ("--iterations", 30, "--burn-in", 10, "--thin", 2, "--seed", 3)
+
+
+def test_summarize_skips_blank_lines_and_reads_quoted_fields(fit_dir, tmp_path, capsys):
+    """Blank lines and quoted fields in traces.csv change no byte of the
+    summary, and summarize prints nothing on stderr."""
+    path = fit_dir / "traces.csv"
+    lines = path.read_text().splitlines()
+    lines = lines[:5] + ["", ""] + [",".join(f'"{f}"' for f in line.split(","))
+                                    for line in lines[5:9]] + [""] + lines[9:] + [""]
+    path.write_text("\n".join(lines) + "\n")
+    code, err = run(capsys, "summarize", fit_dir, "-o", tmp_path / "again")
+    assert code == 0 and err == ""
+    assert ((tmp_path / "again" / "summary.csv").read_bytes()
+            == (fit_dir / "summary.csv").read_bytes())
 
 
 def test_fit_manifest_records_config_checksums_and_data_dir(data_dir, fit_dir):
@@ -469,8 +492,9 @@ def test_each_chain_writes_what_a_one_chain_fit_with_its_seed_writes(data_dir, t
 def test_output_that_cannot_be_written_is_an_error_naming_the_path(data_dir, fit_dir,
                                                                    tmp_path, capsys, stage):
     """An output directory under a regular file cannot be made; neither can
-    a chain directory where a file of that name exists, which a pool worker
-    finds.  Each ends in exit 1 and a message naming the path."""
+    a chain directory where a file of that name exists, which fit finds
+    before any chain runs.  Each ends in exit 1 and a message naming the
+    path."""
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "out"
     argv = {
@@ -490,6 +514,7 @@ def test_output_that_cannot_be_written_is_an_error_naming_the_path(data_dir, fit
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(out / "chain_01" if stage == "chain worker" else out) in err
     assert not (out / "manifest.json").exists()
+    assert not (out / "chain_00" / "traces.csv").exists()
 
 
 def traced_spans(tmp_path, *cli_args) -> list:

@@ -1,6 +1,7 @@
 """Dataset structure, the propriety gate, configs, CSV interchange."""
 
 import csv
+import re
 from itertools import islice
 
 import numpy as np
@@ -12,7 +13,8 @@ from dir_sampler import (ConfigError, DataError, Dataset, ModelConstants,
                          SamplerConfig, initial_state, read_dataset_csv,
                          simulate_dataset, validate_dataset, write_dataset_csv)
 from dir_sampler.model import (CLAUSE_DAYS, CLAUSE_MIXED, CLAUSE_MULTITEST_DAYS,
-                               CLAUSE_N, CLAUSE_TEST_SHAPE, keyed_layout, write_keyed_csv)
+                               CLAUSE_N, CLAUSE_TEST_SHAPE, keyed_layout, read_keyed_csv,
+                               write_keyed_csv)
 from dir_sampler.simgen import SimConfig, paper_default_config
 
 from conftest import build_dataset, proper_individual, traced_peak
@@ -374,3 +376,96 @@ def test_read_dataset_csv_memory_is_bounded_by_its_columns(tmp_path):
     back, peak = traced_peak(read_dataset_csv, tmp_path)
     assert np.array_equal(back.response, data.response)
     assert peak <= 3 * columns + block
+
+
+# The keyed reader parses 8,192 lines at a time.  One individual with 11
+# days makes 16 series; at 1,100 rows a series, the file's data lines 2 to
+# 17,601 span three blocks, and line 17,000 lies in the third.
+KEYED_HEADER = ("quantity", "individual", "day", "iteration", "value")
+KEYED_NAMES = ("theta", "growth", "day_effect_precision", "test_effect_precision",
+               "drift_precision")
+
+
+def keyed_file(path, rows, edit=lambda lines: lines):
+    """Write a keyed file of ``rows`` rows a series, then apply ``edit`` to
+    its list of text lines (line n is ``lines[n - 1]``; a lone surrogate
+    writes an undecodable byte); returns the values written, shape (16,
+    rows, 2)."""
+    values = np.arange(16 * rows * 2, dtype=float).reshape(16, rows, 2) / 8
+    write_keyed_csv(path, KEYED_HEADER, KEYED_NAMES, [11], values)
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+    return values
+
+
+def read_keyed(path):
+    return read_keyed_csv(path, KEYED_HEADER, KEYED_NAMES)
+
+
+def set_line(n, text):
+    return lambda lines: lines[:n - 1] + [text] + lines[n:]
+
+
+@pytest.mark.parametrize("rows", [512, 1024, 1100],
+                         ids=["one-block", "two-full-blocks", "three-blocks"])
+def test_read_keyed_csv_reads_every_block(tmp_path, rows):
+    """Files of exactly one and two full blocks, and one ending in a part block."""
+    values = keyed_file(tmp_path / "keyed.csv", rows)
+    days, blocks, lines = read_keyed(tmp_path / "keyed.csv")
+    assert days.tolist() == [11]
+    assert np.array_equal(np.concatenate(blocks), values)
+    assert list(lines) == list(range(2, 2 + 16 * rows, rows))
+
+
+def quote_every_field(line):
+    return ",".join(f'"{field}"' for field in line.split(","))
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_keyed_csv_skips_blank_lines_and_reads_quoted_fields(tmp_path):
+    """Blank lines (LF, CR LF and CR), a whole block of them included, are
+    skipped, and quoted fields are read, as the csv module reads them;
+    series lines stay true."""
+    values = keyed_file(tmp_path / "keyed.csv", 1100)
+
+    def edit(lines):  # "\r\r" writes a blank CR line, then a blank CR LF line
+        lines = [quote_every_field(line) if k % 7 == 0 else line
+                 for k, line in enumerate(lines)]
+        return lines[:3] + ["", "\r\r"] + lines[3:9000] + [""] * 8192 + lines[9000:]
+    keyed_file(tmp_path / "blank.csv", 1100, edit)
+    _, blocks, lines = read_keyed(tmp_path / "blank.csv")
+    assert np.array_equal(np.concatenate(blocks), values)
+    want = [line + 3 * (line > 3) + 8192 * (line > 9000) for line in range(2, 17602, 1100)]
+    assert list(lines) == want
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_line(17000, "theta,1,11,x,0.5"),
+     "line 17000: could not convert string to float: 'x'"),
+    (set_line(17000, "theta,1,11"), "line 17000: expected 5 fields, got 3"),
+    (set_line(8193, "theta,1,7,1,2,3"), "line 8193: expected 5 fields, got 6"),
+    (set_line(2, "theta,1,0,0.5,y"), "line 2: could not convert string to float: 'y'"),
+    (lambda ls: ls[:10] + [""] * 9000 + set_line(17000, "theta,1,11,x,0.5")(ls)[10:],
+     "line 26000: could not convert string to float: 'x'"),
+    (lambda ls: ls[:10] + ["", ""] + set_line(12000, "theta,1,9,1,2")(ls)[10:],
+     "line 12002: theta individual 1 day 9 is out of layout order, "
+     "expected theta individual 1 day 11"),
+    (set_line(300, "#theta,1,0,1,2"),
+     "line 300: #theta individual 1 day 0 is out of layout order"),
+    (set_line(15402, "test_effect_precisionx,1,,1,2"),
+     "line 15402: test_effect_precisionx individual 1 is out of layout order"),
+    (set_line(15402, "test_effect_precision" + "x" * 20 + ",1,,1,2"),
+     "line 15402: test_effect_precisionx individual 1 is out of layout order"),
+    (set_line(17000, "theta\0,1,11,1,2"), "line 17000: NUL character"),
+    (lambda ls: set_line(17000, 'theta,1,11,"1')(ls)[:17000] + ['",2'] + ls[17000:],
+     "line 17000: a quoted field spans lines"),
+    (set_line(17000, "th\u20acta,1,11,1,2"), "line 17000: could not convert string to a key"),
+    (set_line(17000, "theta,1,11,1,\udcff"), "keyed.csv: 'utf-8' codec can't decode byte 0xff"),
+], ids=["bad-value", "short-row", "long-row-ending-a-block", "bad-value-first-line",
+        "bad-value-after-a-block-of-blank-lines", "out-of-order-after-blank-lines",
+        "comment", "over-long-key", "key-beyond-the-field-width", "nul", "quoted-line-break",
+        "key-beyond-latin-1", "undecodable"])
+def test_read_keyed_csv_names_the_line_at_fault(tmp_path, edit, message):
+    keyed_file(tmp_path / "keyed.csv", 1100, edit)
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_keyed(tmp_path / "keyed.csv")
