@@ -314,7 +314,7 @@ def cmd_summarize(args) -> int:
         raise ConfigError(f"no {inference.TRACES_FILE} in {in_dir}")
     out_dir = Path(args.output) if args.output else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    draws, _, days = inference.read_traces_csv(traces)
+    draws, days = inference.read_traces_csv(traces)
     summaries = inference._summaries(draws)
 
     sp = out_dir / inference.SUMMARY_FILE

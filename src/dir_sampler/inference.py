@@ -272,8 +272,8 @@ def write_online_csv(trajectories, path) -> None:
 
 
 def read_traces_csv(path):
-    """Read a trace file back into draw arrays: (draws dict, theta_start,
-    days), the draws views of one buffer.  Every series must list the same
+    """Read a trace file back into draw arrays: (draws dict, days), the
+    draws views of one buffer.  Every series must list the same
     strictly increasing iterations; a malformed file raises ``DataError``."""
     days, blocks, lines = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
     iterations = blocks[0][0, :, 0]
@@ -285,4 +285,4 @@ def read_traces_csv(path):
                         "differ from those of the first series")
     draws = {name: b[:, :, 1].T for name, b in zip(TRACE_NAMES, blocks)}
     draws["drift_sd"] = draws["drift_sd"][:, 0]
-    return draws, _offsets(days + 1), days
+    return draws, days

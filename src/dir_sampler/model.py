@@ -10,10 +10,11 @@ reader parses its files into such columns, and the writer emits them from
 the offset tables.  All indices are 0-based internally; the CSV
 interchange format is 1-based.  The truth, trace and summary files share
 one keyed row layout, written and read by the code at the end of this
-module (see ``keyed_layout``).  Dataset files are parsed by the ``csv``
-module, since their group labels have no fixed width; keyed files by
-numpy's C parser, 8,192 lines at a time, into fixed-width keys and float
-values.
+module (see ``keyed_layout``).  Every input file is parsed by one block
+reader, ``_blocks``: numpy's C parser reads 8,192 lines at a time into a
+structured dtype (int64 keys and responses, float64 values, text group
+labels, byte-string keyed-file keys), and the ``csv`` module reads only
+the header.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice, takewhile
+from itertools import groupby, islice, takewhile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -303,7 +304,7 @@ class SamplerConfig:
     thin: int = 10
     seed: int = 0
     mode: str = "retrospective"
-    fixed_drift_sd: float | None = None  # required (and only used) in online mode
+    fixed_drift_sd: float | None = None  # required in online mode, rejected outside it
 
     def __post_init__(self):
         if self.mode not in VALID_MODES:
@@ -321,6 +322,8 @@ class SamplerConfig:
                 raise ConfigError("online mode requires fixed_drift_sd")
             if not (self.fixed_drift_sd > 0.0 and math.isfinite(self.fixed_drift_sd)):
                 raise ConfigError("fixed_drift_sd must be finite and > 0")
+        elif self.fixed_drift_sd is not None:  # a retrospective chain learns it
+            raise ConfigError("fixed_drift_sd is used only in online mode")
 
 
 # ---------------------------------------------------------------------------
@@ -446,102 +449,120 @@ def write_dataset_csv(data: Dataset, out_dir) -> list:
     return [rp, lp, gp]
 
 
-def _parse(path: Path, lines: list, column, name: str, kind) -> np.ndarray:
-    """A column of text as int64 (``kind`` int) or float values, or as
-    0-based keys from 1-based ones (``kind`` "key"); DataError names the
-    first line that does not parse or holds a key below 1."""
-    convert, dtype = (float, float) if kind is float else (int, np.int64)
-    try:
-        values = np.fromiter(map(convert, column), dtype, count=len(column))
-    except (ValueError, OverflowError):
-        for line, text in zip(lines, column):
-            try:
-                dtype(convert(text))
-            except (ValueError, OverflowError):
-                what = "a number" if kind is float else "an integer"
-                raise DataError(f"{path} line {line}: {name} {text!r} "
-                                f"is not {what}") from None
-        raise
-    if kind == "key":
-        bad = np.flatnonzero(values < 1)
-        if bad.size:
-            raise DataError(f"{path} line {lines[bad[0]]}: {name} must be >= 1, "
-                            f"got {values[bad[0]]}")
-        values -= 1
-    return values
-
-
 @contextmanager
 def _csv_body(path: Path, header: Sequence[str]):
-    """Open a CSV file and check its header row; yields the file and its
-    ``csv`` reader, both past the header.  DataError names the file, and the
-    line of a ``csv`` error, for a wrong header and a file that cannot be
-    opened, decoded or parsed."""
+    """Open a CSV file and check its header row with the ``csv`` module;
+    yields the file, past the header, and the header's last line number.
+    DataError names the file, and the line of a ``csv`` error, for a wrong
+    header and a file that cannot be opened, decoded or parsed."""
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None or [h.strip() for h in first] != list(header):
                 raise DataError(f"{path}: expected header {','.join(header)}")
-            yield fh, reader
+            yield fh, reader.line_num
     except csv.Error as exc:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _csv_rows(path: Path, header: Sequence[str]):
-    """Yield each non-blank row after the header, with its line number
-    appended; DataError names the file, and the line of a row at fault, for
-    a wrong header or field count and a file that cannot be opened, decoded
-    or parsed."""
-    with _csv_body(path, header) as (_, reader):
-        for row in reader:
-            if row:
-                if len(row) != len(header):
-                    raise DataError(f"{path} line {reader.line_num}: expected "
-                                    f"{len(header)} fields, got {len(row)}")
-                row.append(reader.line_num)
-                yield row
-
-
 _BLOCK_ROWS = 8192
+_BLANK_LINES = ("\n", "\r\n", "\r")
+_FIELD_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+_BAD_VALUE = re.compile(r"could not convert string (.*) to (\S+) at row (\d+), column (\d+)")
+_WHAT = {"i": "an integer", "f": "a number", "S": "Latin-1 text"}
 
 
-def _read_columns(path: Path, header: Sequence[str], kinds: Sequence) -> list:
-    """The columns of a CSV file's non-blank rows, each parsed by ``_parse``
-    with its kind, or kept as text for kind ``str``.  Rows are parsed in
-    blocks of ``_BLOCK_ROWS``, so at most one block is held as text."""
-    rows, blocks = _csv_rows(path, header), []
-    while True:
-        *columns, lines = list(zip(*islice(rows, _BLOCK_ROWS))) or [()] * (len(header) + 1)
-        blocks.append([column if kind is str else _parse(path, lines, column, name, kind)
-                       for column, name, kind in zip(columns, header, kinds)])
-        if len(lines) < _BLOCK_ROWS:
-            break
-    del columns, lines  # the last block's text, before the joined columns are built
-    return [list(chain.from_iterable(parts)) if kind is str else np.concatenate(parts)
-            for parts, kind in zip(zip(*blocks), kinds)]
+def _parse_block(path: Path, header: Sequence[str], lines: list, first: int,
+                 dtype: np.dtype) -> tuple:
+    """Parse one block of ``lines``, the first of them at line ``first``,
+    with numpy's C parser; returns the structured rows and the line of each.
+    Blank lines are skipped, as the ``csv`` module skips them; DataError
+    names the line of a row with the wrong field count, a field that does
+    not parse (by its ``header`` name), a NUL character or a line break in
+    quotes."""
+    line_of = np.arange(first, first + len(lines))
+    if sum(map(lines.count, _BLANK_LINES)):
+        line_of = line_of[[line not in _BLANK_LINES for line in lines]]
+    if "\0" in "".join(lines):  # a byte-string field would drop it from the field's end
+        k = next(k for k, line in enumerate(lines) if "\0" in line)
+        raise DataError(f"{path} line {first + k}: NUL character")
+    if not len(line_of):
+        return np.empty(0, dtype), line_of
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          ndmin=1)
+    except ValueError as exc:  # loadtxt counts rows from 1 for a field count, else from 0
+        if m := _FIELD_COUNT.search(str(exc)):
+            raise DataError(f"{path} line {line_of[int(m[3]) - 1]}: expected {m[1]} "
+                            f"fields, got {m[2]}") from None
+        if m := _BAD_VALUE.search(str(exc)):
+            raise DataError(f"{path} line {line_of[int(m[3])]}: {header[int(m[4]) - 1]} "
+                            f"{m[1]} is not {_WHAT[np.dtype(m[2]).kind]}") from None
+        raise DataError(f"{path} lines {first}-{first + len(lines) - 1}: {exc}") from None
+    if len(rows) != len(line_of):  # loadtxt joined the lines of a quoted line break
+        k = next((k for k, line in enumerate(lines) if line.count('"') % 2), 0)
+        raise DataError(f"{path} line {first + k}: a quoted field spans lines")
+    return rows, line_of
+
+
+def _blocks(path: Path, header: Sequence[str], dtype: np.dtype):
+    """Yield the structured rows of each non-empty block of ``_BLOCK_ROWS``
+    lines after a CSV file's header, parsed by ``_parse_block`` into
+    ``dtype``, with the line of each row.  Only one block is held as text
+    and as rows while the generator runs; quoted fields are read as the
+    ``csv`` module reads them, and a row starting with ``#`` is a row."""
+    with _csv_body(path, header) as (fh, line):
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            rows, line_of = _parse_block(path, header, lines, line + 1, dtype)
+            line += len(lines)
+            del lines
+            if len(rows):
+                yield rows, line_of
+            del rows, line_of  # before the next block is read
 
 
 def read_dataset_csv(in_dir) -> Dataset:
     """Read the responses/lapses/groups trio written by ``write_dataset_csv``.
 
-    Each file is parsed into columns, which ``Dataset.from_keys`` sorts and
-    checks.  Row order is free; (individual, day, test, item) keys must be
-    1-based, unique and dense, all items of a test must agree on its
-    difficulty, and every (individual, day) with responses needs one lapse
-    and every individual one group.  A malformed row raises ``DataError``
-    naming its file and line.
+    Each file is parsed by ``_blocks`` into int64 keys and responses,
+    float64 difficulties and lapses, and text group labels; each block's
+    fields are appended to one buffer per column, keys made 0-based, and
+    ``Dataset.from_keys`` sorts and checks the columns.  Row order is free;
+    (individual, day, test, item) keys must be 1-based, unique and dense,
+    all items of a test must agree on its difficulty, and every (individual,
+    day) with responses needs one lapse and every individual one group.  A
+    malformed row raises ``DataError`` naming its file and line.
     """
     in_dir = Path(in_dir)
-    responses = _read_columns(in_dir / RESPONSES_FILE, RESPONSES_HEADER,
-                              ("key", "key", "key", "key", int, float))
-    lapses = _read_columns(in_dir / LAPSES_FILE, LAPSES_HEADER, ("key", "key", float))
-    group_key, group = _read_columns(in_dir / GROUPS_FILE, GROUPS_HEADER, ("key", str))
+    columns = []
+    for name, header, codes in ((RESPONSES_FILE, RESPONSES_HEADER, "qqqqqd"),
+                                (LAPSES_FILE, LAPSES_HEADER, "qqd"),
+                                (GROUPS_FILE, GROUPS_HEADER, "qO")):
+        path = in_dir / name
+        bufs = [[] if code == "O" else array(code) for code in codes]
+        for rows, line_of in _blocks(path, header, np.dtype(list(zip(header, codes)))):
+            for column, buf in zip(header, bufs):
+                values = rows[column]
+                if column in _KEY_NAMES:
+                    bad = np.flatnonzero(values < 1)
+                    if bad.size:
+                        raise DataError(f"{path} line {line_of[bad[0]]}: {column} must be "
+                                        f">= 1, got {values[bad[0]]}")
+                    values -= 1
+                if isinstance(buf, list):
+                    buf += values.tolist()
+                else:
+                    buf.frombytes(values.tobytes())
+            del rows, values
+        columns += [buf if isinstance(buf, list) else np.frombuffer(buf, code)
+                    for buf, code in zip(bufs, codes)]
+    *keyed, group_key, group = columns
     order = np.argsort(group_key, kind="stable")
     _group_starts([group_key[order]], "group")
-    return Dataset.from_keys(*responses, *lapses, [group[k] for k in order])
+    return Dataset.from_keys(*keyed, [group[k] for k in order])
 
 
 # ---------------------------------------------------------------------------
@@ -586,42 +607,6 @@ def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
             fh.write((",".join(key) + "," + row) * (len(values) // width) % tuple(values))
 
 
-_BLANK_LINES = ("\n", "\r\n", "\r")
-_FIELD_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
-_BAD_VALUE = re.compile(r"could not convert string (.*) to \S+ at row (\d+), column (\d+)")
-
-
-def _keyed_rows(path: Path, lines: list, first: int, dtype: np.dtype) -> tuple:
-    """Parse one block of a keyed file's ``lines``, the first of them at line
-    ``first``, with numpy's C parser; returns the structured rows and the
-    line of each.  Blank lines are skipped, as the ``csv`` module skips them;
-    DataError names the line of a row with the wrong field count, a value or
-    key that does not parse, a NUL character or a line break in quotes."""
-    line_of = np.arange(first, first + len(lines))
-    if sum(map(lines.count, _BLANK_LINES)):
-        line_of = line_of[[line not in _BLANK_LINES for line in lines]]
-    if "\0" in "".join(lines):  # a key field would drop it from the key's end
-        k = next(k for k, line in enumerate(lines) if "\0" in line)
-        raise DataError(f"{path} line {first + k}: NUL character")
-    if not len(line_of):
-        return np.empty(0, dtype), line_of
-    try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None)
-    except ValueError as exc:  # loadtxt counts rows from 1 for a field count, else from 0
-        if m := _FIELD_COUNT.search(str(exc)):
-            raise DataError(f"{path} line {line_of[int(m[3]) - 1]}: expected {m[1]} "
-                            f"fields, got {m[2]}") from None
-        if m := _BAD_VALUE.search(str(exc)):
-            what = "a key" if int(m[3]) <= 3 else "float"
-            raise DataError(f"{path} line {line_of[int(m[2])]}: could not convert string "
-                            f"to {what}: {m[1]}") from None
-        raise DataError(f"{path} lines {first}-{first + len(lines) - 1}: {exc}") from None
-    if len(rows) != len(line_of):  # loadtxt joined the lines of a quoted line break
-        k = next((k for k, line in enumerate(lines) if line.count('"') % 2), 0)
-        raise DataError(f"{path} line {first + k}: a quoted field spans lines")
-    return rows, line_of
-
-
 def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
     """Read a keyed file into (days, blocks, lines): ``days`` inferred from
     the first quantity's keys; per quantity, a float array of shape (series,
@@ -629,13 +614,10 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
     where each series starts.  Series out of layout order, missing or of
     unequal length, and rows that do not parse raise ``DataError``.
 
-    ``np.loadtxt`` parses the rows ``_BLOCK_ROWS`` lines at a time into
-    three byte-string key fields and the value columns.  A series starts
-    where a row's key differs from the row before it, the last key of a
-    block carried over to the next, and each block's values are appended to
-    one buffer, so at most one block is held as text and as rows.  Quoted
-    fields are read as the ``csv`` module reads them; a row starting with
-    ``#`` is a row, not a comment.
+    ``_blocks`` parses the rows into three byte-string key fields and the
+    value columns.  A series starts where a row's key differs from the row
+    before it, the last key of a block carried over to the next, and each
+    block's values are appended to one buffer.
     """
     path = Path(path)
     width = len(header) - 3
@@ -644,24 +626,17 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
     dtype = np.dtype([("key", f"S{max(19, *map(len, names)) + 1}", 3),
                       ("value", "f8", (width,))])
     buf, series, last = array("d"), [], None
-    with _csv_body(path, header) as (fh, reader):
-        line = reader.line_num
-        while lines := list(islice(fh, _BLOCK_ROWS)):
-            rows, line_of = _keyed_rows(path, lines, line + 1, dtype)
-            line += len(lines)
-            del lines  # and rows below, before the next block is read: one at a time
-            if not len(rows):
-                continue
-            keys = rows["key"]
-            new = np.empty(len(rows), dtype=bool)
-            new[0] = last is None or np.any(keys[0] != last)
-            np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
-            for r in np.flatnonzero(new).tolist():
-                series.append((tuple(k.decode("latin-1") for k in keys[r].tolist()),
-                               int(line_of[r]), len(buf) + r * width))
-            last = keys[-1].copy()
-            buf.frombytes(rows["value"].tobytes())
-            del rows, keys
+    for rows, line_of in _blocks(path, header, dtype):
+        keys = rows["key"]
+        new = np.empty(len(rows), dtype=bool)
+        new[0] = last is None or np.any(keys[0] != last)
+        np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+        for r in np.flatnonzero(new).tolist():
+            series.append((tuple(k.decode("latin-1") for k in keys[r].tolist()),
+                           int(line_of[r]), len(buf) + r * width))
+        last = keys[-1].copy()
+        buf.frombytes(rows["value"].tobytes())
+        del rows, keys  # before the next block is read: one at a time
     if not series or series[0][0][0] != names[0]:
         raise DataError(f"{path}: expected {names[0]} rows first")
     keys, lines, starts = zip(*series)

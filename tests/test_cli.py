@@ -143,12 +143,15 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
      "test_effect_precision"),
     (("simulate", "--paper-defaults"), {"lapse_table": [[1e400] * 50] * 10}, "lapse_table"),
     (("fit", *SHORT_FIT), {"delta_tmax": 1e400}, "delta_tmax"),
+    (("fit", *SHORT_FIT, "--drift-sd", 0.05), None, "drift_sd"),
+    (("fit", *SHORT_FIT), {"drift_sd": 0.05}, "drift_sd"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
-    """A config or seed value of the wrong type or sign, or an infinite one
-    (JSON 1e400), ends in exit 3 with a message naming it: no traceback, and
-    no silent truncation to an integer."""
+    """A config or seed value of the wrong type or sign, an infinite one
+    (JSON 1e400), or a drift sd outside on-line mode, where the chain would
+    learn it instead, ends in exit 3 with a message naming it: no traceback,
+    no silent truncation to an integer, and no value recorded but unused."""
     command, *flags = argv
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -243,10 +246,10 @@ def test_summarize_scores_coverage_with_truth(fit_dir, capsys):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda ls: ls[:6] + ["growth,1"] + ls[6:], "line 7: expected 4 fields, got 2"),
-    (lambda ls: ls[:3] + ["theta,1,2,abc"] + ls[4:], "line 4: could not convert"),
+    (lambda ls: ls[:3] + ["theta,1,2,abc"] + ls[4:], "line 4: value 'abc' is not a number"),
     (lambda ls: ls[:3] + ["theta,x,2,0.5"] + ls[4:],
      "line 4: theta individual x day 2 is out of layout order"),
-    (lambda ls: ls[:9] + ["growth,1,,y"] + ls[10:], "line 10: could not convert"),
+    (lambda ls: ls[:9] + ["growth,1,,y"] + ls[10:], "line 10: value 'y' is not a number"),
     (lambda ls: ls[:5] + ls[3:4] + ls[5:],
      "line 6: theta individual 1 day 2 is out of layout order"),
     (lambda ls: ls[:6] + ls[7:], "line 7: theta individual 2 day 2 is out of layout order, "
@@ -449,8 +452,8 @@ def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
     assert code == 0
     chains = [inference.read_traces_csv(out / f"chain_{k:02d}" / "traces.csv")
               for k in (0, 1)]
-    starts = chains[0][1]
-    pooled = {name: np.concatenate([draws[name] for draws, _, _ in chains])
+    starts = np.concatenate([[0], np.cumsum(chains[0][1] + 1)])  # theta offsets from days
+    pooled = {name: np.concatenate([draws[name] for draws, _ in chains])
               for name in chains[0][0]}
     with (out / "summary.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -216,8 +216,10 @@ def test_numeric_error_carries_day_context():
     data, constants, state = path_problem([[1.0]], [[1.0]], [1.0], growth=0.0,
                                           drift_precision=np.inf, init_mean=0.0,
                                           init_var=1e-320, rho=0.118)
-    with pytest.raises(NumericError, match="individual 0: .* not finite at day 0"):
-        update_abilities(make_rng(0), state, workspace(data, constants, state))
+    # 1 / init_var overflows in the day-0 precision and pseudo-data
+    with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+        with pytest.raises(NumericError, match="individual 0: .* not finite at day 0"):
+            update_abilities(make_rng(0), state, workspace(data, constants, state))
 
 
 def test_indefinite_precision_names_individual_and_day():

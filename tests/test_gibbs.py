@@ -557,3 +557,98 @@ def test_sweep_cost_scales_linearly_with_item_count():
     assert max(lines) - min(lines) <= 20
     for scale in (2, 4):
         assert cost[scale][1] <= 1.25 * scale * cost[1][1]
+
+
+# ---------------------------------------------------------------------------
+# the latent block jointly: Geweke's "getting it right" test
+# ---------------------------------------------------------------------------
+
+# 2 individuals x 3 days x 3 tests x 3 items; the 30-day lapse exceeds
+# delta_tmax.  Growth and every precision are held at known values: their
+# objective priors are improper, so only the latent block has a joint law
+# to draw from, and their oracle tests above remain their check.
+GEWEKE_SHAPE = (2, 3, 3, 3)
+GEWEKE_LAPSES = [1.0, 30.0, 7.0]
+GEWEKE_GROWTH = np.array([0.02, 0.05])
+GEWEKE_DIFFICULTY = np.linspace(-0.5, 1.0, 18).reshape(2, 3, 3)
+GEWEKE_CONSTANTS = ModelConstants(sigma=0.7333, rho=0.118, delta_tmax=14.0,
+                                  group_prior={"g": (0.5, 0.25)})
+GEWEKE_DRIFT, GEWEKE_DAY, GEWEKE_TEST = 40.0, 8.0, 8.0  # precisions
+
+
+def geweke_prior(rng, n):
+    """``n`` i.i.d. draws of the abilities, day effects, test effects and
+    mixture scales from the model, as (n, coordinates) arrays."""
+    n_ind, n_days, n_tests, n_items = GEWEKE_SHAPE
+    c = GEWEKE_CONSTANTS
+    mean, var = c.group_prior["g"]
+    theta = np.empty((n, n_ind, n_days + 1))
+    theta[:, :, 0] = rng.normal(mean, np.sqrt(var), (n, n_ind))
+    for t, lapse in enumerate(GEWEKE_LAPSES):
+        prev = theta[:, :, t]
+        theta[:, :, t + 1] = (prev + GEWEKE_GROWTH * (1.0 - c.rho * prev)
+                              * min(lapse, c.delta_tmax)
+                              + rng.normal(0.0, np.sqrt(lapse / GEWEKE_DRIFT), (n, n_ind)))
+    day = rng.normal(0.0, GEWEKE_DAY ** -0.5, (n, n_ind * n_days))
+    x = rng.normal(0.0, GEWEKE_TEST ** -0.5, (n, n_ind * n_days, n_tests))
+    test = (x - x.mean(axis=2, keepdims=True)).reshape(n, -1)  # iid given a zero sum
+    nu = sample_ks(rng, n * n_ind * n_days * n_tests * n_items).reshape(n, -1)
+    return theta.reshape(n, -1), day, test, nu
+
+
+def geweke_statistics(theta, day, test, nu):
+    """First and second moments of every ability and day effect, the first
+    test effect of each day and the mean log mixture scale: 42 columns."""
+    s = np.column_stack([theta, day, test[:, ::GEWEKE_SHAPE[2]], np.log(nu).mean(axis=1)])
+    return np.column_stack([s, s * s])
+
+
+def geweke_chain(rng, m):
+    """``m`` iterations of the successive-conditional simulator: draw the
+    latent utilities from the model given the state, set the responses to
+    their signs in place, then run the latent-block updates in sweep order.
+    Starts from a prior draw; returns ``geweke_statistics`` per iteration."""
+    n_ind, n_days, n_tests, n_items = GEWEKE_SHAPE
+    data = build_dataset([[[[0] * n_items] * n_tests] * n_days] * n_ind,
+                         difficulties=GEWEKE_DIFFICULTY.tolist(),
+                         lapses=[GEWEKE_LAPSES] * n_ind)
+    item_test = np.arange(data.n_items) // n_items
+    item_day = item_test // n_tests
+    item_theta = item_day + item_day // n_days + 1
+    state = initial_state(data)
+    state.growth[:] = GEWEKE_GROWTH
+    state.drift_precision = GEWEKE_DRIFT
+    state.day_effect_precision[:] = GEWEKE_DAY
+    state.test_effect_precision[:] = GEWEKE_TEST
+    blocks = (state.theta, state.day_effect, state.test_effect, state.ks_scale)
+    for block, draw in zip(blocks, geweke_prior(rng, 1)):
+        block[:] = draw[0]
+    work = SweepWorkspace(data, GEWEKE_CONSTANTS)
+    work.refresh_obs_precision(state)
+    draws = [np.empty((m, len(block))) for block in blocks]
+    for k in range(m):
+        mean = (state.theta[item_theta] - GEWEKE_DIFFICULTY.ravel()[item_test]
+                + state.day_effect[item_day] + state.test_effect[item_test])
+        sd = np.sqrt(GEWEKE_CONSTANTS.sigma ** 2 + 4.0 * state.ks_scale ** 2)
+        data.response[:] = mean + sd * rng.standard_normal(data.n_items) > 0.0
+        for update in (update_latent_utilities, update_abilities, update_test_effects,
+                       update_day_effects, update_ks_scales):
+            update(rng, state, work)
+        for out, block in zip(draws, blocks):
+            out[k] = block
+    return geweke_statistics(*draws)
+
+
+def test_latent_block_leaves_the_joint_law_invariant():
+    """Geweke (2004, JASA 99:799): the simulator's stationary law is the
+    joint prior of parameters and data, so its moments must match i.i.d.
+    prior draws; the chain's standard errors are batch means over 50
+    batches of 300."""
+    m, batches = 15_000, 50
+    chain = geweke_chain(make_rng(0), m)
+    prior = geweke_statistics(*geweke_prior(make_rng(1), m))
+    batch_means = chain.reshape(batches, -1, chain.shape[1]).mean(axis=1)
+    se = np.hypot(batch_means.std(axis=0, ddof=1) / np.sqrt(batches),
+                  prior.std(axis=0, ddof=1) / np.sqrt(m))
+    z = (chain.mean(axis=0) - prior.mean(axis=0)) / se
+    assert np.abs(z).max() <= 4.5, np.round(z, 1).tolist()

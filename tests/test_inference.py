@@ -250,7 +250,7 @@ def test_trace_csv_round_trip(tmp_path):
     out = fit(data, constants, SamplerConfig(n_iterations=40, burn_in=20, thin=2, seed=2))
     path = tmp_path / "traces.csv"
     write_traces_csv(out, path)
-    draws, starts, days = read_traces_csv(path)
+    draws, days = read_traces_csv(path)
     assert np.array_equal(days, data.days)
     for name, arr in out.draw_arrays().items():
         assert np.array_equal(np.atleast_2d(draws[name].T).T, np.atleast_2d(arr.T).T), name
@@ -268,7 +268,7 @@ def test_read_traces_csv_memory_is_bounded_by_its_arrays(tmp_path):
     write_traces_csv(ChainOutput(**draws, summaries={}, days=np.full(n, 6),
                                  n_iterations=400, burn_in=200, thin=1, wall_time=0.0,
                                  ks_accept_rate=1.0, guard_redraws=0), path)
-    (back, _, _), peak = traced_peak(read_traces_csv, path)
+    (back, _), peak = traced_peak(read_traces_csv, path)
     for name, arr in draws.items():
         assert np.array_equal(back[name], arr), name
     assert peak <= 3 * sum(arr.nbytes for arr in back.values())

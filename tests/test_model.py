@@ -285,6 +285,8 @@ def test_sampler_config_validation():
         SamplerConfig(n_iterations=100, burn_in=50, thin=5, mode="online")
     SamplerConfig(n_iterations=100, burn_in=50, thin=5, mode="online",
                   fixed_drift_sd=0.0612)
+    with pytest.raises(ConfigError, match="only in online mode"):
+        SamplerConfig(n_iterations=100, burn_in=50, thin=5, fixed_drift_sd=0.0612)
     with pytest.raises(ConfigError):
         SamplerConfig(mode="streaming")
 
@@ -421,7 +423,6 @@ def quote_every_field(line):
     return ",".join(f'"{field}"' for field in line.split(","))
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_keyed_csv_skips_blank_lines_and_reads_quoted_fields(tmp_path):
     """Blank lines (LF, CR LF and CR), a whole block of them included, are
     skipped, and quoted fields are read, as the csv module reads them;
@@ -439,14 +440,23 @@ def test_read_keyed_csv_skips_blank_lines_and_reads_quoted_fields(tmp_path):
     assert list(lines) == want
 
 
+def test_read_keyed_csv_reads_a_last_block_of_one_line(tmp_path):
+    """One blank line pushes the last row into a block of its own."""
+    values = keyed_file(tmp_path / "keyed.csv", 1024)
+    keyed_file(tmp_path / "blank.csv", 1024, lambda lines: lines[:3] + [""] + lines[3:])
+    _, blocks, lines = read_keyed(tmp_path / "blank.csv")
+    assert np.array_equal(np.concatenate(blocks), values)
+    assert list(lines) == [2] + list(range(1027, 16386, 1024))
+
+
 @pytest.mark.parametrize("edit, message", [
     (set_line(17000, "theta,1,11,x,0.5"),
-     "line 17000: could not convert string to float: 'x'"),
+     "line 17000: iteration 'x' is not a number"),
     (set_line(17000, "theta,1,11"), "line 17000: expected 5 fields, got 3"),
     (set_line(8193, "theta,1,7,1,2,3"), "line 8193: expected 5 fields, got 6"),
-    (set_line(2, "theta,1,0,0.5,y"), "line 2: could not convert string to float: 'y'"),
+    (set_line(2, "theta,1,0,0.5,y"), "line 2: value 'y' is not a number"),
     (lambda ls: ls[:10] + [""] * 9000 + set_line(17000, "theta,1,11,x,0.5")(ls)[10:],
-     "line 26000: could not convert string to float: 'x'"),
+     "line 26000: iteration 'x' is not a number"),
     (lambda ls: ls[:10] + ["", ""] + set_line(12000, "theta,1,9,1,2")(ls)[10:],
      "line 12002: theta individual 1 day 9 is out of layout order, "
      "expected theta individual 1 day 11"),
@@ -459,7 +469,8 @@ def test_read_keyed_csv_skips_blank_lines_and_reads_quoted_fields(tmp_path):
     (set_line(17000, "theta\0,1,11,1,2"), "line 17000: NUL character"),
     (lambda ls: set_line(17000, 'theta,1,11,"1')(ls)[:17000] + ['",2'] + ls[17000:],
      "line 17000: a quoted field spans lines"),
-    (set_line(17000, "th\u20acta,1,11,1,2"), "line 17000: could not convert string to a key"),
+    (set_line(17000, "th\u20acta,1,11,1,2"),
+     "line 17000: quantity 'th\u20acta' is not Latin-1 text"),
     (set_line(17000, "theta,1,11,1,\udcff"), "keyed.csv: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["bad-value", "short-row", "long-row-ending-a-block", "bad-value-first-line",
         "bad-value-after-a-block-of-blank-lines", "out-of-order-after-blank-lines",
@@ -469,3 +480,62 @@ def test_read_keyed_csv_names_the_line_at_fault(tmp_path, edit, message):
     keyed_file(tmp_path / "keyed.csv", 1100, edit)
     with pytest.raises(DataError, match=re.escape(message)):
         read_keyed(tmp_path / "keyed.csv")
+
+
+# ---------------------------------------------------------------------------
+# Dataset files on the same block reader
+# ---------------------------------------------------------------------------
+
+def blocky_responses(path, edit=lambda lines: lines):
+    """Apply ``edit`` to responses.csv's text lines, quote every field of
+    every 7th line, and insert blank lines (LF, CR, CR LF, then a whole
+    block of LF): line n > 3 moves to n + 3, and n > 9,000 to n + 8,195."""
+    lines = edit(path.read_text().splitlines())
+    lines = [quote_every_field(line) if k % 7 == 0 else line for k, line in enumerate(lines)]
+    lines = lines[:3] + ["", "\r\r"] + lines[3:9000] + [""] * 8192 + lines[9000:]
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def test_read_dataset_csv_reads_every_block_blank_lines_and_quoted_fields(tmp_path):
+    data, _ = simulate_dataset(paper_default_config(seed=3))  # 20,000 responses
+    write_dataset_csv(data, tmp_path)
+    blocky_responses(tmp_path / "responses.csv")
+    back = read_dataset_csv(tmp_path)
+    assert np.array_equal(back.response, data.response)
+    assert np.array_equal(back.difficulty, data.difficulty)
+    assert np.array_equal(back.items_per_test, data.items_per_test)
+    assert np.array_equal(back.tests_per_day, data.tests_per_day)
+
+
+def test_read_dataset_csv_names_the_true_line_past_the_first_block(tmp_path):
+    data, _ = simulate_dataset(paper_default_config(seed=3))
+    write_dataset_csv(data, tmp_path)
+
+    def bad_response(lines):
+        fields = lines[11999].split(",")
+        fields[4] = "x"
+        return set_line(12000, ",".join(fields))(lines)
+    blocky_responses(tmp_path / "responses.csv", bad_response)
+    with pytest.raises(DataError, match=re.escape(
+            "responses.csv line 20195: response 'x' is not an integer")):
+        read_dataset_csv(tmp_path)
+
+
+def test_group_labels_round_trip_as_text(tmp_path):
+    labels = ["a,b", 'say "hi"', "  spaced  ", "a label of more than 19 characters", ""]
+    write_dataset_csv(build_dataset([proper_individual()] * 5, groups=labels), tmp_path)
+    assert read_dataset_csv(tmp_path).group == tuple(labels)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2,g\0", "groups.csv line 3: NUL character"),
+    ('2,"g\nh"', "groups.csv line 3: a quoted field spans lines"),
+], ids=["nul", "quoted-line-break"])
+def test_group_label_that_is_not_one_line_of_text_names_the_line(tmp_path, text, message):
+    write_dataset_csv(build_dataset([proper_individual()] * 2), tmp_path)
+    path = tmp_path / "groups.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = text
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_dataset_csv(tmp_path)
