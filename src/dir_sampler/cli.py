@@ -6,8 +6,8 @@ manifest.json recording the resolved configuration, seed, and input
 checksums, sufficient to re-run bit-identically.  A fit's manifest also
 records its data directory, where summarize finds the truth.csv that
 simulate wrote.  A fit also writes run_report.json with the wall time, sweep
-count, K-S acceptance rate and guard-redraw count of each chain, or of each
-day's chain on-line.  Each chain writes its own traces.csv and summary.csv,
+count, K-S acceptance rate, guard-redraw count and per-update wall seconds
+of each chain, or of each day's chain on-line.  Each chain writes its own traces.csv and summary.csv,
 into the output directory for one chain and into chain_NN/ for several, from
 the pool worker that ran it; fit makes every chain_NN/ before any chain
 runs.  The pooled summary.csv of several chains goes next to the manifest.

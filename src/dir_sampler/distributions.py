@@ -33,56 +33,47 @@ def make_rng(seed: int) -> Rng:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _std_normal_sf(x):
+def _erfc(x, out):
     from scipy.special import erfc
-    return 0.5 * erfc(x / np.sqrt(2.0))
+    return erfc(x, out=out)
 
 
-def _std_normal_isf(p):
-    # inverse survival function, accurate for very small p
+def _erfcinv(p, out):
+    # accurate for very small p, which the survival-scale inversion needs
     from scipy.special import erfcinv
-    return np.sqrt(2.0) * erfcinv(2.0 * p)
+    return erfcinv(p, out=out)
 
 
-def _sample_lower_truncated_std(rng: Rng, alpha: np.ndarray) -> np.ndarray:
-    """Draw standard normals conditioned to (alpha, inf), elementwise.
-
-    Inverse-CDF on the survival scale for alpha <= 4; Robert-style
-    exponential rejection in the far tail, where the acceptance rate is
-    bounded away from zero (it increases towards 1 as alpha grows).
-    """
-    out = np.empty_like(alpha)
-    bulk = alpha <= _TAIL_SWITCH
-    if np.any(bulk):
-        a = alpha[bulk]
-        u = 1.0 - rng.random(a.shape)  # in (0, 1]
-        out[bulk] = _std_normal_isf(u * _std_normal_sf(a))
-    n_tail = int(np.count_nonzero(~bulk))
-    if n_tail:
-        a = alpha[~bulk]
-        lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-        x = np.empty(n_tail)
-        pending = np.arange(n_tail)
-        for _ in range(10_000):
-            e = rng.exponential(1.0 / lam[pending])
-            cand = a[pending] + e
-            acc = rng.random(pending.shape) <= np.exp(-0.5 * (cand - lam[pending]) ** 2)
-            x[pending[acc]] = cand[acc]
-            pending = pending[~acc]
-            if pending.size == 0:
-                break
-        else:
-            raise NumericError("truncated-normal tail rejection failed to accept")
-        out[~bulk] = x
-    return out
+def _sample_tail_std(rng: Rng, alpha: np.ndarray) -> np.ndarray:
+    """Draw standard normals conditioned to (alpha, inf) for alpha > 4 by
+    Robert-style exponential rejection, whose acceptance rate is bounded
+    away from zero there (it increases towards 1 as alpha grows)."""
+    lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
+    x = np.empty_like(alpha)
+    pending = np.arange(alpha.size)
+    for _ in range(10_000):
+        e = rng.exponential(1.0 / lam[pending])
+        cand = alpha[pending] + e
+        acc = rng.random(pending.shape) <= np.exp(-0.5 * (cand - lam[pending]) ** 2)
+        x[pending[acc]] = cand[acc]
+        pending = pending[~acc]
+        if pending.size == 0:
+            return x
+    raise NumericError("truncated-normal tail rejection failed to accept")
 
 
-def sample_truncated_normal(rng: Rng, mean, variance, side: str):
+def sample_truncated_normal(rng: Rng, mean, variance, side: str, out=None):
     """Draw from N(mean, variance) restricted to (0, inf) or (-inf, 0].
 
     ``mean`` and ``variance`` broadcast; the result has the broadcast shape
     (a scalar for scalar inputs).  ``side`` is ``"positive"`` or
-    ``"negative"``.
+    ``"negative"``.  ``out``, a float64 array of the broadcast shape that
+    overlaps neither input, receives the draws when given.
+
+    Every element takes one uniform, in element order, through the inverse
+    CDF on the survival scale, computed in place in the result and one
+    scratch array.  Elements whose standardised truncation point exceeds 4, where
+    inversion loses accuracy, are then redrawn by exponential rejection.
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
@@ -94,17 +85,35 @@ def sample_truncated_normal(rng: Rng, mean, variance, side: str):
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
     mean, variance = np.broadcast_arrays(mean, variance)
     scalar = mean.ndim == 0
-    mean = np.atleast_1d(mean).astype(float)
-    sd = np.sqrt(np.atleast_1d(variance).astype(float))
+    loc = np.atleast_1d(mean if side == "positive" else -mean)
+    variance = np.atleast_1d(variance)
+    draw = np.empty(loc.shape) if out is None else out
+    z = np.empty(loc.shape)
 
-    loc = mean if side == "positive" else -mean
-    alpha = -loc / sd
-    draw = loc + sd * _sample_lower_truncated_std(rng, alpha)
+    np.sqrt(variance, out=draw)
+    np.divide(loc, draw, out=z)
+    np.negative(z, out=z)  # the standardised truncation point alpha
+    tail = z > _TAIL_SWITCH
+    # z = isf(u sf(alpha)) with u in (0, 1], sf(x) = erfc(x/sqrt 2)/2 and
+    # isf(p) = sqrt(2) erfcinv(2p); the factors 1/2 and 2 cancel exactly
+    z /= np.sqrt(2.0)
+    _erfc(z, out=z)
+    rng.random(out=draw)
+    np.subtract(1.0, draw, out=draw)
+    z *= draw
+    _erfcinv(z, out=z)
+    z *= np.sqrt(2.0)
+    np.sqrt(variance, out=draw)
+    draw *= z
+    draw += loc
+    if np.any(tail):
+        sd = np.sqrt(variance[tail])
+        draw[tail] = loc[tail] + sd * _sample_tail_std(rng, -loc[tail] / sd)
     # keep draws inside the open/closed support even when rounding collapses
     # mean + sd*z to exactly zero
-    draw = np.maximum(draw, _TINY)
+    np.maximum(draw, _TINY, out=draw)
     if side == "negative":
-        draw = -draw
+        np.negative(draw, out=draw)
     return float(draw[0]) if scalar else draw
 
 
@@ -123,24 +132,50 @@ def sample_gamma(rng: Rng, shape, rate):
 def _ks_lower_quantile(u: np.ndarray) -> np.ndarray:
     """Solve F(x) = u for 0 < u <= P(K <= 1) by Newton steps on log F in y = 1/x^2.
 
-    Jacobi's form F = sqrt(2 pi y) exp(-pi^2 y/8) (1 + r + r^3 + r^6), with
-    r = exp(-pi^2 y) <= exp(-pi^2), omits terms below 1e-30 of the sum.  log F
-    is concave and decreasing in y, so no step overshoots to y <= 0.  The start
-    solves the one-term equation pi^2 y/8 - log(y)/2 = log(sqrt(2 pi)/u) to
-    first order; the third step reaches rounding error.
+    Jacobi's form F = sqrt(2 pi y) exp(-pi^2 y/8) (1 + r + r^3 + r^6 + ...),
+    with r = exp(-pi^2 y) <= exp(-pi^2) ~ 5.2e-5.  The r^6 term is below
+    2e-26, under half an ulp of 1 + r + r^3, and 6 r^6 lies as far below
+    r + 3 r^3 in the slope; so the series stops at r^3 and returns the same
+    floats as with r^6.  log F is concave and decreasing in y, so no step
+    overshoots to y <= 0.  The start solves the one-term equation
+    pi^2 y/8 - log(y)/2 = log(sqrt(2 pi)/u) to first order; the third step
+    reaches rounding error.  ``u`` is overwritten, and each step runs in
+    place on five buffers of its size.
     """
-    target = np.log(u) - _HALF_LOG_2PI
-    y = -target / _PI_SQ_8
-    y += 0.5 * np.log(y) / _PI_SQ_8
+    target = np.log(u, out=u)
+    target -= _HALF_LOG_2PI
+    y = target / -_PI_SQ_8
+    e, r, r3, series = (np.empty_like(y) for _ in range(4))
+    np.log(y, out=e)
+    e *= 0.5
+    e /= _PI_SQ_8
+    y += e
     for _ in range(3):
-        e = np.exp(-_PI_SQ_8 * y)
-        r = np.square(np.square(np.square(e)))  # exp(-pi^2 y)
-        r3 = r * r * r
-        r6 = r3 * r3
-        series = 1.0 + r + r3 + r6
-        slope = 0.5 / y - _PI_SQ_8 - np.pi ** 2 * (r + 3.0 * r3 + 6.0 * r6) / series
-        y -= (np.log(np.sqrt(y) * e * series) - target) / slope
-    return 1.0 / np.sqrt(y)
+        np.multiply(y, -_PI_SQ_8, out=e)
+        np.exp(e, out=e)
+        np.square(e, out=r)
+        np.square(r, out=r)
+        np.square(r, out=r)  # exp(-pi^2 y)
+        np.multiply(r, r, out=r3)
+        r3 *= r
+        np.add(r, 1.0, out=series)
+        series += r3
+        slope = np.multiply(r3, 3.0, out=r3)
+        slope += r
+        slope *= np.pi ** 2
+        slope /= series
+        np.divide(0.5, y, out=r)
+        r -= _PI_SQ_8
+        np.subtract(r, slope, out=slope)  # d log F / dy
+        step = np.sqrt(y, out=r)
+        step *= e
+        step *= series
+        np.log(step, out=step)
+        step -= target
+        step /= slope
+        y -= step
+    np.sqrt(y, out=y)
+    return np.divide(1.0, y, out=y)
 
 
 def _ks_upper_quantile(u: np.ndarray) -> np.ndarray:

@@ -14,12 +14,23 @@ matrix form; see ``ffbs``).  The sum-zero test effects of all days are
 drawn together by conditioning independent normals on each day's sum
 (see ``update_test_effects``).
 
+The logistic link is written as a Kolmogorov-Smirnov scale mixture of
+normals (Holmes & Held 2006, Bayesian Analysis 1:145), so every item has a
+latent utility and a mixture scale, and their two updates are most of a
+sweep.  Each is one pass over all items on item-sized buffers that the
+workspace allocates once: the latent utilities fold every mean onto the
+positive side with the response's sign and take one inversion draw, and
+the mixture-scale step computes each proposal's observation precision once
+and stores the accepted ones in place.
+
 All conditionals are derived under the objective priors: flat on positive
 growth, and x^(-3/2) on each precision, which adds -1/2 to the gamma shape
 and nothing to the rate.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -36,8 +47,17 @@ class SweepWorkspace:
     gather indices between the item/test/day/individual levels, reduceat
     boundaries, the truncated lapses and per-individual prior parameters.
     ``frozen`` marks the individuals whose effect precisions are held at
-    their current values (none by default).  Also counts the mixture-scale
-    proposals and acceptances and the guard redraws for the run report.
+    their current values (none by default).
+
+    ``psi`` is each item's observation precision 1/(sigma^2 + 4 nu^2).
+    ``mean``, ``var``, ``sign``, ``psi_new`` and ``log_ratio`` are item-sized
+    scratch that ``item_mean``, ``update_latent_utilities`` and
+    ``update_ks_scales`` overwrite on every call; the only item-sized
+    temporaries left in those updates are the scratch array of
+    ``sample_truncated_normal`` and those of ``sample_ks``.  Also
+    sums each update's wall seconds (``update_s``, by the update's name in
+    ``gibbs_sweep``) and counts the mixture-scale proposals and acceptances
+    and the guard redraws for the run report.
     """
 
     def __init__(self, data: Dataset, constants: ModelConstants,
@@ -58,6 +78,7 @@ class SweepWorkspace:
         day_within = np.arange(n_days) - data.day_start[self.day_individual]
         self.day_theta = self.theta_start[self.day_individual] + day_within + 1
         self.day_theta_prev = self.day_theta - 1
+        self.test_theta = self.day_theta[self.test_day]
         self.item_theta = self.day_theta[self.item_day]
 
         # reduceat starts: first item of each day, first test of each individual
@@ -73,35 +94,51 @@ class SweepWorkspace:
 
         self.tests_per_individual = np.add.reduceat(data.tests_per_day, data.day_start[:-1])
         self.psi = np.empty(data.n_items)
+        self.mean, self.var, self.sign, self.psi_new, self.log_ratio = (
+            np.empty(data.n_items) for _ in range(5))
+        self.update_s = {}  # update name -> wall seconds, summed over sweeps
         self.ks_proposals = 0
         self.ks_accepted = 0
         self.guard_redraws = 0
 
+    def obs_precision(self, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """1/(4 nu^2 + sigma^2) for the mixture scales ``scale``, into ``out``."""
+        np.multiply(scale, scale, out=out)
+        out *= 4.0
+        out += self.constants.sigma ** 2
+        return np.reciprocal(out, out=out)
+
     def refresh_obs_precision(self, state: LatentState) -> None:
-        """psi = 1/(4 nu^2 + sigma^2) for the current mixture scales."""
-        np.multiply(state.ks_scale, state.ks_scale, out=self.psi)
-        self.psi *= 4.0
-        self.psi += self.constants.sigma ** 2
-        np.reciprocal(self.psi, out=self.psi)
+        """psi for the current mixture scales."""
+        self.obs_precision(state.ks_scale, self.psi)
 
     def item_mean(self, state: LatentState) -> np.ndarray:
-        """Per-item latent-utility mean: theta - a + day effect + test effect."""
-        return (state.theta[self.item_theta] - self.item_difficulty
-                + state.day_effect[self.item_day] + state.test_effect[self.item_test])
+        """Per-item latent-utility mean, theta - a + day effect + test effect,
+        written to the ``mean`` buffer.  Every term is constant within a
+        test, so the sum is formed per test and gathered once."""
+        per_test = state.theta[self.test_theta] - self.data.difficulty
+        per_test += state.day_effect[self.test_day]
+        per_test += state.test_effect
+        return np.take(per_test, self.item_test, out=self.mean, mode="clip")
 
 
 def update_latent_utilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     """Truncated-normal draw of each item's latent utility, sign-matched to
-    the observed response."""
-    mean = work.item_mean(state)
-    var = 1.0 / work.psi
-    correct = work.data.response == 1
-    out = state.latent_utility
-    if np.any(correct):
-        out[correct] = sample_truncated_normal(rng, mean[correct], var[correct], "positive")
-    if not np.all(correct):
-        wrong = ~correct
-        out[wrong] = sample_truncated_normal(rng, mean[wrong], var[wrong], "negative")
+    the observed response, in one pass over all items.
+
+    With s = 2y - 1, the utility is s times a draw from N(s m, 1/psi)
+    restricted to (0, inf): folding each mean onto the positive side makes
+    every item the same one-sided draw, which takes one uniform per item in
+    item order.  s is derived from ``data.response`` on every call, so a
+    caller that rewrites the responses in place is followed.
+    """
+    sign = np.multiply(work.data.response, 2.0, out=work.sign)
+    sign -= 1.0
+    loc = work.item_mean(state)
+    loc *= sign
+    var = np.reciprocal(work.psi, out=work.var)
+    sample_truncated_normal(rng, loc, var, "positive", out=state.latent_utility)
+    state.latent_utility *= sign
 
 
 def update_abilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
@@ -254,29 +291,45 @@ def update_drift_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
 
 def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     """One Metropolis-Hastings proposal per item for the mixture scales,
-    proposing from the Kolmogorov-Smirnov law itself."""
-    resid = state.latent_utility - work.item_mean(state)
-    sigma_sq = work.constants.sigma ** 2
+    proposing from the Kolmogorov-Smirnov law itself.
+
+    With psi = 1/(sigma^2 + 4 nu^2) and residual e, the log ratio is
+    (log(psi'/psi) - e^2 (psi' - psi)) / 2.  The proposal's psi' is computed
+    once, and the accepted scales and their psi' are stored in place.
+    """
+    resid_sq = work.item_mean(state)
+    np.subtract(state.latent_utility, resid_sq, out=resid_sq)
+    resid_sq *= resid_sq
     proposal = sample_ks(rng, work.data.n_items)
-    s_old = sigma_sq + 4.0 * state.ks_scale ** 2
-    s_new = sigma_sq + 4.0 * proposal ** 2
-    log_ratio = 0.5 * (np.log(s_old) - np.log(s_new)) \
-        - 0.5 * resid * resid * (1.0 / s_new - 1.0 / s_old)
-    accept = rng.random(work.data.n_items) < np.exp(np.minimum(log_ratio, 0.0))
-    state.ks_scale[accept] = proposal[accept]
+    psi_new = work.obs_precision(proposal, work.psi_new)
+    log_ratio = np.subtract(psi_new, work.psi, out=work.log_ratio)
+    resid_sq *= log_ratio
+    np.divide(psi_new, work.psi, out=log_ratio)
+    np.log(log_ratio, out=log_ratio)
+    log_ratio -= resid_sq
+    log_ratio *= 0.5
+    np.minimum(log_ratio, 0.0, out=log_ratio)
+    accept_prob = np.exp(log_ratio, out=log_ratio)
+    accept = rng.random(out=resid_sq) < accept_prob
+    np.copyto(state.ks_scale, proposal, where=accept)
+    np.copyto(work.psi, psi_new, where=accept)
     work.ks_proposals += accept.size
     work.ks_accepted += int(np.count_nonzero(accept))
-    work.refresh_obs_precision(state)
 
 
-def _step(name: str, update, *args) -> None:
-    """Run one update, reporting a numeric failure with the update's name."""
+def _step(name: str, update, rng: Rng, state: LatentState, work: SweepWorkspace,
+          *extra) -> None:
+    """Run one update, adding its wall seconds to ``work.update_s[name]`` and
+    reporting a numeric failure with the update's name."""
+    start = time.perf_counter()
     try:
-        update(*args)
+        update(rng, state, work, *extra)
     except ConfigError:
         raise
     except (NumericError, ValueError, FloatingPointError) as exc:
         raise NumericError(f"sweep aborted in {name} update: {exc}") from exc
+    finally:
+        work.update_s[name] = work.update_s.get(name, 0.0) + time.perf_counter() - start
 
 
 def gibbs_sweep(rng: Rng, state: LatentState, work: SweepWorkspace,

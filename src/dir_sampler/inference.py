@@ -10,7 +10,7 @@ the thinned post-burn-in draws.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ class ChainOutput:
     wall_time: float
     ks_accept_rate: float       # accepted share of the mixture-scale proposals
     guard_redraws: int          # latent blocks redrawn by the gamma-rate guard
+    update_s: dict = field(default_factory=dict)  # update name -> wall seconds
 
     @property
     def n_draws(self) -> int:
@@ -82,9 +83,10 @@ def _stream_seed(*key) -> np.random.SeedSequence:
 
 def chain_report(output: ChainOutput) -> dict:
     """A chain's run-report entry: wall time, sweeps, K-S acceptance rate,
-    guard redraws."""
+    guard redraws, and the wall seconds of each update over all sweeps."""
     return {"wall_time_s": output.wall_time, "sweeps": output.n_iterations,
-            "ks_accept_rate": output.ks_accept_rate, "guard_redraws": output.guard_redraws}
+            "ks_accept_rate": output.ks_accept_rate, "guard_redraws": output.guard_redraws,
+            "update_s": output.update_s}
 
 
 def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
@@ -123,7 +125,7 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
         n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
         wall_time=time.perf_counter() - start,
         ks_accept_rate=work.ks_accepted / work.ks_proposals,
-        guard_redraws=work.guard_redraws)
+        guard_redraws=work.guard_redraws, update_s=work.update_s)
 
 
 def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> ChainOutput:

@@ -381,11 +381,18 @@ def test_summarize_skips_coverage_when_the_dataset_changed(sim_dir, tmp_path, ca
     assert not (fit / "coverage.csv").exists()
 
 
+# The nine updates as the run report names them, in sweep order.
+UPDATE_NAMES = ["latent utilities", "abilities", "growth", "test effects",
+                "test-effect precision", "day effects", "day-effect precision",
+                "drift precision", "mixture scales"]
+
+
 @pytest.mark.parametrize("command, chains", [pytest.param("fit", 1, id="1"),
                                              pytest.param("fit", 2, id="2"),
                                              pytest.param("online", 1, id="online")])
 def test_fit_writes_run_report(data_dir, tmp_path, capsys, command, chains):
-    """One entry per chain, or on-line one per day's chain (three days here)."""
+    """One entry per chain, or on-line one per day's chain (three days here),
+    each with the wall seconds of the nine updates, in sweep order."""
     out = tmp_path / "fit"
     drift = ["--drift-sd", 0.05] if command == "online" else []
     code, _ = run(capsys, command, data_dir, "--iterations", 30, "--burn-in", 10,
@@ -398,8 +405,12 @@ def test_fit_writes_run_report(data_dir, tmp_path, capsys, command, chains):
     else:
         assert list(report) == ["chains"] and len(report["chains"]) == chains
     for chain in report.popitem()[1]:
-        assert sorted(chain) == ["guard_redraws", "ks_accept_rate", "sweeps", "wall_time_s"]
+        assert sorted(chain) == ["guard_redraws", "ks_accept_rate", "sweeps", "update_s",
+                                 "wall_time_s"]
         assert chain["sweeps"] == 30 and chain["wall_time_s"] > 0.0
+        assert list(chain["update_s"]) == UPDATE_NAMES
+        assert all(t > 0.0 for t in chain["update_s"].values())
+        assert sum(chain["update_s"].values()) < chain["wall_time_s"]
         assert 0.0 < chain["ks_accept_rate"] <= 1.0
         assert chain["guard_redraws"] == 0
     assert "run_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
@@ -530,7 +541,9 @@ def traced_spans(tmp_path, *cli_args) -> list:
 
 def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
     """``perfbench/tracing.py`` wraps the two path-draw functions and the
-    nine updates by name."""
+    nine updates by name, and the two samplers where ``gibbs`` looks them
+    up: every sweep makes one K-S draw, in the mixture-scale update, and two
+    truncated-normal draws, one for all latent utilities and one for growth."""
     spans = traced_spans(tmp_path, "fit", data_dir, "--iterations", 12, "--burn-in", 4,
                          "--thin", 2, "-o", tmp_path / "fit")
     name = {span_id: span_name for span_name, _, _, span_id, _ in spans}
@@ -552,6 +565,13 @@ def test_benchmark_tracer_sees_one_path_draw_per_sweep(data_dir, tmp_path):
                "gibbs.update_ks_scales"):
         assert Counter(sweep_of(span_id) for span_name, _, _, span_id, _ in spans
                        if span_name == fn) == sweeps
+    draws = Counter((sweep_of(span_id), span_name, name[up])
+                    for span_name, _, _, span_id, up in spans
+                    if span_name.startswith("distributions."))
+    assert draws == Counter({(sweep, fn, update): 1 for sweep in sweeps for fn, update in (
+        ("distributions.sample_ks", "gibbs.update_ks_scales"),
+        ("distributions.sample_truncated_normal", "gibbs.update_latent_utilities"),
+        ("distributions.sample_truncated_normal", "gibbs.update_growth"))})
 
 
 def test_benchmark_tracer_sees_the_trace_read_and_summary_write(fit_dir, tmp_path):

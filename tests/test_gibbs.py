@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dir_sampler import (ConfigError, ModelConstants, NumericError, SweepWorkspace,
-                         gibbs_sweep, initial_state, make_rng, sample_ks,
-                         simulate_dataset)
+                         gibbs_sweep, initial_state, make_rng, paper_default_config,
+                         sample_ks, simulate_dataset)
 from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
                                update_day_effects, update_drift_precision,
                                update_growth, update_ks_scales,
@@ -25,7 +26,8 @@ from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
 from dir_sampler.simgen import SimConfig
 
 from conftest import (FixedNormals, build_dataset, dense_posterior,
-                      dense_test_effect_conditional, mc_se_mean, mc_se_var, proper_individual)
+                      dense_test_effect_conditional, mc_se_mean, mc_se_var, proper_individual,
+                      traced_peak)
 
 # sigma chosen so that ks_scale = 0.4 gives unit observation variance
 SIGMA_UNIT = 0.6
@@ -73,6 +75,56 @@ def test_latent_utility_half_normal_oracle():
     y = state.latent_utility
     assert abs(y.mean() - HALF_NORMAL_MEAN) < 4.0 * mc_se_mean(y)
     assert abs(y.var(ddof=1) - HALF_NORMAL_VAR) < 4.0 * mc_se_var(y)
+
+
+def test_latent_utilities_take_one_uniform_per_item_in_item_order():
+    """With every standardised truncation point <= 4 the update is a single
+    inversion pass: with s = 2y - 1, item i's utility is s times the
+    quantile of N(s m, 1/psi), restricted to (0, inf), at the i-th uniform."""
+    rng = np.random.default_rng(5)
+    responses = [[[rng.integers(0, 2, size=5).tolist() for _ in range(3)]
+                  for _ in range(4)] for _ in range(3)]
+    data, work, state = frozen_setup(responses)
+    state.theta[:] = rng.uniform(-2.0, 2.0, len(state.theta))
+    state.day_effect[:] = rng.uniform(-0.3, 0.3, data.n_days)
+    state.test_effect[:] = rng.uniform(-0.3, 0.3, data.n_tests)
+    state.ks_scale[:] = rng.uniform(0.2, 1.0, data.n_items)
+    work.refresh_obs_precision(state)
+    sign = 2.0 * data.response - 1.0
+    loc = sign * (state.theta[work.item_theta] - work.item_difficulty
+                  + state.day_effect[work.item_day] + state.test_effect[work.item_test])
+    sd = np.sqrt(SIGMA_UNIT ** 2 + 4.0 * state.ks_scale ** 2)
+    alpha = -loc / sd
+    assert alpha.max() <= 4.0 and np.any(sign > 0) and np.any(sign < 0)
+
+    sampled, replay = make_rng(6), make_rng(6)
+    update_latent_utilities(sampled, state, work)
+    u = replay.random(data.n_items)
+    assert sampled.bit_generator.state == replay.bit_generator.state
+    expected = sign * (loc + sd * stats.norm.isf((1.0 - u) * stats.norm.sf(alpha)))
+    np.testing.assert_allclose(state.latent_utility, expected, rtol=1e-9, atol=1e-12)
+
+
+def test_augmentation_updates_allocate_few_item_arrays():
+    """One latent-utility and one mixture-scale update on the paper design
+    (20,000 items) peak at 7.4 item-sized float arrays of traced memory,
+    against 13.5 when each built its own temporaries: they write into the
+    workspace's buffers, and ``sample_ks``'s draws and per-call buffers are
+    most of what is left."""
+    data, _ = simulate_dataset(paper_default_config(seed=1))
+    assert data.n_items >= 20_000
+    work = SweepWorkspace(data, paper_default_config().constants())
+    state = initial_state(data)
+    rng = make_rng(1)
+    for _ in range(3):
+        gibbs_sweep(rng, state, work)
+
+    def both():
+        update_latent_utilities(rng, state, work)
+        update_ks_scales(rng, state, work)
+    _, peak = traced_peak(both)
+    item_array = data.n_items * np.dtype(float).itemsize
+    assert peak <= 8 * item_array
 
 
 # ---------------------------------------------------------------------------
