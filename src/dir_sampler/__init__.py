@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .distributions import (ks_quantile, make_rng, sample_gamma, sample_ks,
+from .distributions import (ks_quantile, make_rng, normal_isf, sample_gamma, sample_ks,
                             sample_truncated_normal)
 from .errors import (ConfigError, DataError, DirSamplerError, NumericError,
                      ValidationError)

@@ -21,28 +21,17 @@ With the normals in theta order the draw is the FFBS draw up to rounding.
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
-
 import numpy as np
 
-from .distributions import Rng
+from .distributions import Rng, scipy_extension
 from .errors import NumericError
 
 
-@functools.cache
 def _lapack():
     """scipy's f2py LAPACK module, which ``scipy.linalg.lapack`` re-exports,
-    loaded on first use without the ``scipy.linalg`` package import: that
-    import loads a dozen extension modules unused here, 6 MiB resident, a
-    tenth of the peak memory of a CLI fit process (this costs 1.1 MiB)."""
-    linalg = importlib.util.find_spec("scipy.linalg")
-    spec = importlib.machinery.PathFinder.find_spec(
-        "scipy.linalg._flapack", linalg.submodule_search_locations)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    loaded without the ``scipy.linalg`` package import: that import loads a
+    dozen extension modules unused here, 6 MiB resident (this costs 1.1 MiB)."""
+    return scipy_extension("scipy.linalg", "_flapack")
 
 
 def _path_error(theta_start: np.ndarray, k: int, what: str) -> NumericError:

@@ -51,10 +51,11 @@ class SweepWorkspace:
 
     ``psi`` is each item's observation precision 1/(sigma^2 + 4 nu^2).
     ``mean``, ``var``, ``sign``, ``psi_new`` and ``log_ratio`` are item-sized
-    scratch that ``item_mean``, ``update_latent_utilities`` and
-    ``update_ks_scales`` overwrite on every call; the only item-sized
-    temporaries left in those updates are the scratch array of
-    ``sample_truncated_normal`` and those of ``sample_ks``.  Also
+    scratch that ``item_mean``, ``weighted_residual``,
+    ``update_latent_utilities`` and ``update_ks_scales`` overwrite on every
+    call; the only item-sized temporaries left in the latent-utility and
+    mixture-scale updates are those of ``sample_truncated_normal`` (its
+    scratch array and ``normal_isf``'s) and of ``sample_ks``.  Also
     sums each update's wall seconds (``update_s``, by the update's name in
     ``gibbs_sweep``) and counts the mixture-scale proposals and acceptances
     and the guard redraws for the run report.
@@ -121,6 +122,14 @@ class SweepWorkspace:
         per_test += state.test_effect
         return np.take(per_test, self.item_test, out=self.mean, mode="clip")
 
+    def weighted_residual(self, state: LatentState, per_test: np.ndarray) -> np.ndarray:
+        """psi (u + c) per item, for the latent utility u and a per-test
+        offset c gathered once, written to the ``mean`` buffer."""
+        resid = np.take(per_test, self.item_test, out=self.mean, mode="clip")
+        resid += state.latent_utility
+        resid *= self.psi
+        return resid
+
 
 def update_latent_utilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     """Truncated-normal draw of each item's latent utility, sign-matched to
@@ -146,10 +155,11 @@ def update_abilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None
     conditional: one banded Cholesky factorisation of the tridiagonal path
     precision and two triangular solves (see ``ffbs``)."""
     rho = work.constants.rho
-    z = (state.latent_utility + work.item_difficulty - state.day_effect[work.item_day]
-         - state.test_effect[work.item_test] - 1.0 / rho)
+    per_test = work.data.difficulty - state.day_effect[work.test_day]
+    per_test -= state.test_effect
+    per_test -= 1.0 / rho
     prec_sum = np.add.reduceat(work.psi, work.day_item_start)
-    weighted = np.add.reduceat(work.psi * z, work.day_item_start)
+    weighted = np.add.reduceat(work.weighted_residual(state, per_test), work.day_item_start)
     transition = 1.0 - state.growth[work.day_individual] * rho * work.lapse_trunc
     chol, y = ffbs.filter_from_day_sums(
         prec_sum, weighted, transition, state.drift_precision * work.inv_lapse,
@@ -192,12 +202,12 @@ def update_test_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> N
     day's effect is 0 and a two-test day's pair is (eta, -eta).
     """
     data = work.data
-    resid = (state.latent_utility - state.theta[work.item_theta] + work.item_difficulty
-             - state.day_effect[work.item_day])
+    per_test = data.difficulty - state.theta[work.test_theta]
+    per_test -= state.day_effect[work.test_day]
     days = data.test_start[:-1]
     var = 1.0 / (np.add.reduceat(work.psi, data.item_start[:-1])
                  + state.test_effect_precision[work.test_individual])
-    x = (var * np.add.reduceat(work.psi * resid, data.item_start[:-1])
+    x = (var * np.add.reduceat(work.weighted_residual(state, per_test), data.item_start[:-1])
          + np.sqrt(var) * rng.standard_normal(data.n_tests))
     eta = state.test_effect
     eta[:] = x - var * (np.add.reduceat(x, days) / np.add.reduceat(var, days))[work.test_day]
@@ -240,9 +250,9 @@ def update_test_effect_precision(rng: Rng, state: LatentState,
 
 def update_day_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     """Normal draw of each (individual, day) random effect."""
-    resid = (state.latent_utility - state.theta[work.item_theta] + work.item_difficulty
-             - state.test_effect[work.item_test])
-    num = np.add.reduceat(work.psi * resid, work.day_item_start)
+    per_test = work.data.difficulty - state.theta[work.test_theta]
+    per_test -= state.test_effect
+    num = np.add.reduceat(work.weighted_residual(state, per_test), work.day_item_start)
     prec = (np.add.reduceat(work.psi, work.day_item_start)
             + state.day_effect_precision[work.day_individual])
     noise = rng.standard_normal(work.data.n_days)
@@ -311,8 +321,8 @@ def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None
     np.minimum(log_ratio, 0.0, out=log_ratio)
     accept_prob = np.exp(log_ratio, out=log_ratio)
     accept = rng.random(out=resid_sq) < accept_prob
-    np.copyto(state.ks_scale, proposal, where=accept)
-    np.copyto(work.psi, psi_new, where=accept)
+    np.putmask(state.ks_scale, accept, proposal)
+    np.putmask(work.psi, accept, psi_new)
     work.ks_proposals += accept.size
     work.ks_accepted += int(np.count_nonzero(accept))
 

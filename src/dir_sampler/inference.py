@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_state,
-                    individual_propriety_failures, read_keyed_csv, theta_offsets,
+                    propriety_failures, read_keyed_csv, theta_offsets,
                     validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
@@ -216,7 +216,7 @@ def fit_online(data: Dataset, constants: ModelConstants, config: SamplerConfig) 
     refits = []
     for t in range(1, t_max + 1):
         sub = data.individual_prefix(t)
-        frozen = np.array([bool(individual_propriety_failures(sub, i)) for i in range(n)])
+        frozen = np.array([bool(mine) for mine in propriety_failures(sub)])
         output = _run_chain(sub, constants, config, _stream_seed(config.seed, t), frozen)
         live = data.days >= t  # individuals whose day t exists
         endpoint = theta_offsets(sub)[:-1][live] + t

@@ -350,39 +350,38 @@ class ValidationReport:
         return "; ".join(f"{clause} [{detail}]" for clause, detail in self.failures)
 
 
-def _mixed_test_count(data: Dataset, day: int) -> int:
-    """Number of tests on a (global) day containing both a 0 and a 1."""
-    count = 0
-    for test in range(data.test_start[day], data.test_start[day + 1]):
-        resp = data.response[data.item_start[test]:data.item_start[test + 1]]
-        if resp.min() == 0 and resp.max() == 1:
-            count += 1
-    return count
-
-
-def individual_propriety_failures(data: Dataset, i: int) -> list:
-    """Per-individual pieces of the propriety conditions, as (clause, detail)."""
+def propriety_failures(data: Dataset) -> list:
+    """Per-individual pieces of the propriety conditions: for each
+    individual, a list of (clause, detail) pairs, empty when it passes.
+    The counts behind them are taken for every individual at once."""
+    starts = data.day_start[:-1]
+    low = np.minimum.reduceat(data.response, data.item_start[:-1])
+    high = np.maximum.reduceat(data.response, data.item_start[:-1])
+    mixed_tests = np.add.reduceat(low < high, data.test_start[:-1])  # per day
+    multi = data.tests_per_day >= 2
+    multi_days = np.add.reduceat(multi, starts)
+    qualifying_days = np.add.reduceat(multi & (mixed_tests >= 2), starts)
+    tests = np.add.reduceat(data.tests_per_day, starts)
     failures = []
-    t_i = int(data.days[i])
-    if t_i < 2:
-        failures.append((CLAUSE_DAYS, f"individual {i}: T_i = {t_i}"))
-    day_lo, day_hi = data.day_start[i], data.day_start[i + 1]
-    multi = [d for d in range(day_lo, day_hi) if data.tests_per_day[d] >= 2]
-    if len(multi) < 2:
-        failures.append((CLAUSE_MULTITEST_DAYS,
-                         f"individual {i}: {len(multi)} day(s) with ≥ 2 tests"))
-    else:
-        qualifying = sum(1 for d in multi if _mixed_test_count(data, d) >= 2)
-        if qualifying < 2:
-            failures.append((CLAUSE_MIXED,
-                             f"individual {i}: {qualifying} day(s) with ≥ 2 tests "
-                             "each having one 0 and one 1 observation"))
-    s_total = int(np.sum(data.tests_per_day[day_lo:day_hi]))
-    if s_total - (t_i + 1) <= 0:
-        failures.append((CLAUSE_TEST_SHAPE,
+    for i, (t_i, n_multi, qualifying, s_total) in enumerate(zip(
+            data.days.tolist(), multi_days.tolist(), qualifying_days.tolist(),
+            tests.tolist())):
+        mine = []
+        if t_i < 2:
+            mine.append((CLAUSE_DAYS, f"individual {i}: T_i = {t_i}"))
+        if n_multi < 2:
+            mine.append((CLAUSE_MULTITEST_DAYS,
+                         f"individual {i}: {n_multi} day(s) with ≥ 2 tests"))
+        elif qualifying < 2:
+            mine.append((CLAUSE_MIXED,
+                         f"individual {i}: {qualifying} day(s) with ≥ 2 tests "
+                         "each having one 0 and one 1 observation"))
+        if s_total - (t_i + 1) <= 0:
+            mine.append((CLAUSE_TEST_SHAPE,
                          f"individual {i}: (Σ S − (T+1))/2 = {(s_total - t_i - 1) / 2}"))
-    if t_i - 1 <= 0:
-        failures.append((CLAUSE_DAY_SHAPE, f"individual {i}: (T−1)/2 = {(t_i - 1) / 2}"))
+        if t_i - 1 <= 0:
+            mine.append((CLAUSE_DAY_SHAPE, f"individual {i}: (T−1)/2 = {(t_i - 1) / 2}"))
+        failures.append(mine)
     return failures
 
 
@@ -393,8 +392,8 @@ def validate_dataset(data: Dataset) -> ValidationReport:
     failures = []
     if data.n_individuals < 2:
         failures.append((CLAUSE_N, f"n = {data.n_individuals}"))
-    for i in range(data.n_individuals):
-        failures.extend(individual_propriety_failures(data, i))
+    for mine in propriety_failures(data):
+        failures.extend(mine)
     if int(np.sum(data.days)) - 1 <= 0:
         failures.append((CLAUSE_DRIFT_SHAPE, f"Σ T_i = {int(np.sum(data.days))}"))
     return ValidationReport(passed=not failures, failures=tuple(failures))

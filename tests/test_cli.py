@@ -437,9 +437,10 @@ def run_stage_in_subprocess(*argv) -> tuple[int, bool]:
     return tuple(json.loads(done.stdout.splitlines()[-1]))
 
 
-def test_only_fit_loads_scipy_special(tmp_path):
-    """``scipy.special`` serves only the sampler's truncated-normal draw, so
-    the stages that do not sample never pay for importing it."""
+def test_no_stage_loads_scipy_special(tmp_path):
+    """The sampler takes ``erfc`` straight from scipy's compiled module and
+    inverts the normal in numpy, so no stage, sampling or not, pays for
+    importing the ``scipy.special`` package."""
     (tmp_path / "cfg.json").write_text(json.dumps({"days": 20, "items_per_test": 2}))
     data, fit = tmp_path / "data", tmp_path / "fit"
     stages = {
@@ -448,12 +449,14 @@ def test_only_fit_loads_scipy_special(tmp_path):
         "validate": ("validate", data),
         "fit": ("fit", data, "--iterations", 4, "--burn-in", 2, "--thin", 1, "-o", fit),
         "summarize": ("summarize", fit, "-o", tmp_path / "again"),
+        "online": ("online", data, "--iterations", 4, "--burn-in", 2, "--thin", 1,
+                   "--drift-sd", 0.05, "-o", tmp_path / "online"),
     }
     loaded = {}
     for stage, argv in stages.items():
         code, loaded[stage] = run_stage_in_subprocess(*argv)
         assert code == 0, stage
-    assert loaded == {"simulate": False, "validate": False, "fit": True, "summarize": False}
+    assert loaded == dict.fromkeys(stages, False)
 
 
 def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):

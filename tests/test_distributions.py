@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
-from scipy.special import kolmogi
+from scipy import integrate, stats
+from scipy.special import erfc, kolmogi
 
-from dir_sampler import ks_quantile, make_rng, sample_gamma, sample_ks, sample_truncated_normal
+from dir_sampler import (ks_quantile, make_rng, normal_isf, sample_gamma, sample_ks,
+                         sample_truncated_normal)
+from dir_sampler.distributions import scipy_extension
 
 from conftest import mc_se_mean
 
@@ -74,6 +76,34 @@ def test_truncated_normal_deterministic():
 def test_truncated_normal_scalar_interface():
     val = sample_truncated_normal(make_rng(5), 1.0, 2.0, "positive")
     assert isinstance(val, float) and val > 0.0
+
+
+def test_normal_isf_matches_scipy_and_is_monotone():
+    # log-spaced p from 1e-300 to 1/2 and 1 - p from 1/2 down to 1e-10, plus
+    # runs in relative steps of 1e-12, far above rounding, across the points
+    # where the rational approximation switches
+    grid = np.geomspace(1e-300, 0.5, 20_000)
+    runs = [x * (1.0 + np.arange(-2_000, 2_001) * 1e-12) for x in (0.075, 0.925, np.exp(-25.0))]
+    p = np.unique(np.concatenate([grid, 1.0 - grid[grid >= 1e-10], *runs]))
+    x = normal_isf(p)
+    expected = stats.norm.isf(p)
+    assert np.all(np.abs(x - expected) <= 1e-14 * np.abs(expected))
+    assert np.all(np.diff(x) < 0.0)
+
+
+def test_normal_isf_endpoints_are_infinite():
+    assert normal_isf(0.0) == np.inf and normal_isf(1.0) == -np.inf
+    p = np.array([[0.0, 5e-324, 0.5], [1.0 - 2.0**-53, 1.0, 0.0]])
+    x = normal_isf(p)
+    assert x.shape == (2, 3)
+    assert x[0, 0] == x[1, 2] == np.inf and x[1, 1] == -np.inf and x[0, 2] == 0.0
+    assert np.all(np.diff(x.ravel()[:-1]) < 0.0) and np.all(np.isfinite(x.ravel()[1:4]))
+    assert normal_isf(p, out=p) is p and np.array_equal(p, x)  # in place
+
+
+def test_erfc_from_the_extension_module_is_scipy_special_erfc():
+    x = np.concatenate([np.linspace(-6.0, 30.0, 10_001), [-np.inf, np.inf]])
+    assert np.array_equal(scipy_extension("scipy.special", "_special_ufuncs").erfc(x), erfc(x))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dir_sampler import (ConfigError, ModelConstants, QuantitySummary,
                          parameter_coverage, simulate_dataset, summarize)
 from dir_sampler import inference
 from dir_sampler.inference import ChainOutput, read_traces_csv, write_traces_csv, _run_chain
-from dir_sampler.model import individual_propriety_failures
+from dir_sampler.model import propriety_failures
 from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config
 
 from conftest import build_dataset, mixed_two_test_day, proper_individual, traced_peak
@@ -213,7 +213,7 @@ def test_online_freezes_only_the_individuals_whose_prefix_fails_the_gate(monkeyp
     for sd in (day3.test_effect_sd, day3.day_effect_sd):
         assert np.all(sd[:, 1] == 1.0)
         assert np.all(sd[:, 0] != 1.0)
-    gate = [[bool(individual_propriety_failures(data.individual_prefix(t), i))
+    gate = [[bool(propriety_failures(data.individual_prefix(t))[i])
              for t in range(1, 5)] for i in range(2)]
     assert gate == [[True, False, False, False], [True, True, True, False]]
     assert [traj.flagged.tolist() for traj in trajectories] == gate
