@@ -10,7 +10,11 @@ count, K-S acceptance rate, guard-redraw count and per-update wall seconds
 of each chain, or of each day's chain on-line.  Each chain writes its own traces.csv and summary.csv,
 into the output directory for one chain and into chain_NN/ for several, from
 the pool worker that ran it; fit makes every chain_NN/ before any chain
-runs.  The pooled summary.csv of several chains goes next to the manifest.
+runs.  The pooled summary.csv of several chains goes next to the manifest:
+the main process keeps only the chains' draws and run-report entries, and
+pools the draws one quantity at a time, a block of series at a time
+(``inference.summarize``), freeing each chain's array of a quantity once it
+is pooled.  Only a fit of several chains imports the process pool.
 Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
 """
 
@@ -22,7 +26,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -78,6 +81,8 @@ def _load_config(path, allowed: set) -> dict:
         if (key in _NUMBER_KEYS and type(val) not in (int, float)
                 and (key, val) != ("drift_sd", None)):  # a null drift_sd is unset
             raise ConfigError(f"{key} must be a number, got {json.dumps(val)}")
+        if key == "group_prior" and type(val) is not dict:
+            raise ConfigError(f"{key} must be a JSON object, got {json.dumps(val)}")
     return cfg
 
 
@@ -241,19 +246,21 @@ def cmd_fit(args, force_online: bool = False) -> int:
         if chains == 1:
             outputs = [_fit_one_chain(packed[0])]
         else:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
             with ProcessPoolExecutor(max_workers=_max_workers(chains)) as pool:
                 outputs = list(pool.map(_fit_one_chain, packed))
         command, written = "fit", [chain_dir / name for chain_dir in chain_dirs
                                    for name in (inference.TRACES_FILE, inference.SUMMARY_FILE)]
-        if chains > 1:
-            pooled_draws = {name: np.concatenate([o.draw_arrays()[name] for o in outputs])
-                            for name in outputs[0].draw_arrays()}
-            sp = out_dir / inference.SUMMARY_FILE
-            pooled = inference._summaries(pooled_draws)
-            inference.write_summary_csv(pooled, outputs[0].days, sp)
-            written.append(sp)
         run_report = {"chains": [inference.chain_report(o) for o in outputs]}
-        done = f"fit complete: {chains} chain(s), {outputs[0].n_draws} draws each -> {out_dir}"
+        days, n_draws = outputs[0].days, outputs[0].n_draws
+        if chains > 1:
+            draws = {name: [o.draw_arrays()[name] for o in outputs]
+                     for name in outputs[0].draw_arrays()}
+            del outputs  # each draw is held once, in ``draws``, until its quantity is pooled
+            sp = out_dir / inference.SUMMARY_FILE
+            inference.write_summary_csv(inference._summaries(draws), days, sp)
+            written.append(sp)
+        done = f"fit complete: {chains} chain(s), {n_draws} draws each -> {out_dir}"
 
     report = out_dir / RUN_REPORT_FILE
     report.write_text(json.dumps(run_report, indent=2) + "\n")
@@ -315,11 +322,12 @@ def cmd_summarize(args) -> int:
     out_dir = Path(args.output) if args.output else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     draws, days = inference.read_traces_csv(traces)
-    summaries = inference._summaries(draws)
+    n_theta = draws["theta"].shape[1]
+    summaries = inference._summaries({name: [arr] for name, arr in draws.items()})
 
     sp = out_dir / inference.SUMMARY_FILE
     inference.write_summary_csv(summaries, days, sp)
-    print(f"recomputed quantiles for {draws['theta'].shape[1]} ability points -> {sp}")
+    print(f"recomputed quantiles for {n_theta} ability points -> {sp}")
 
     truth_path = _fit_truth(in_dir)
     if truth_path is not None:

@@ -72,15 +72,12 @@ class SweepWorkspace:
         self.test_day = np.repeat(np.arange(n_days), data.tests_per_day)
         self.test_individual = self.day_individual[self.test_day]
         self.item_test = np.repeat(np.arange(n_tests), data.items_per_test)
-        self.item_day = self.test_day[self.item_test]
-        self.item_difficulty = data.difficulty[self.item_test]
 
         self.theta_start = theta_offsets(data)
         day_within = np.arange(n_days) - data.day_start[self.day_individual]
         self.day_theta = self.theta_start[self.day_individual] + day_within + 1
         self.day_theta_prev = self.day_theta - 1
         self.test_theta = self.day_theta[self.test_day]
-        self.item_theta = self.day_theta[self.item_day]
 
         # reduceat starts: first item of each day, first test of each individual
         self.day_item_start = data.item_start[data.test_start[:-1]]

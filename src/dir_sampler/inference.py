@@ -9,6 +9,7 @@ the thinned post-burn-in draws.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,6 +23,8 @@ from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_st
                     validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
+# Bytes of joined draws that ``summarize`` partitions at a time.
+SUMMARY_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -60,19 +63,38 @@ class ChainOutput:
                 "day_effect_sd": self.day_effect_sd, "test_effect_sd": self.test_effect_sd}
 
 
-def summarize(draws: np.ndarray) -> np.ndarray:
+def summarize(*chains: np.ndarray) -> np.ndarray:
     """Empirical (2.5%, 50%, 97.5%) quantiles (linear interpolation between
-    order statistics) along the draw axis; shape (3,) + draws.shape[1:]."""
-    draws = np.asarray(draws)
-    if draws.size == 0:
+    order statistics) along the draw axis of one draw array, or of several
+    chains' arrays joined on that axis; shape (3,) + the series shape.
+
+    The draws are joined and partitioned in place a block of series at a
+    time, as many series as fit in ``SUMMARY_BLOCK_BYTES`` (at least one),
+    so the chains' arrays are left unchanged and no copy of them all is made."""
+    chains = [np.asarray(c) for c in chains]
+    if sum(c.size for c in chains) == 0:
         raise ValueError("cannot summarize an empty draw set")
-    return np.quantile(draws, QUANTILES, axis=0)
+    series = chains[0].shape[1:]
+    n_series = math.prod(series)
+    chains = [c.reshape(len(c), n_series) for c in chains]
+    out = np.empty((len(QUANTILES), n_series))
+    width = max(1, SUMMARY_BLOCK_BYTES // (out.itemsize * sum(len(c) for c in chains)))
+    for start in range(0, n_series, width):
+        block = np.concatenate([c[:, start:start + width] for c in chains])
+        out[:, start:start + width] = np.quantile(block, QUANTILES, axis=0,
+                                                  overwrite_input=True)
+    return out.reshape((len(QUANTILES),) + series)
 
 
 def _summaries(draws: dict) -> dict:
+    """name -> QuantitySummary of each quantity's list of chains' draw
+    arrays, pooled by ``summarize``.  Each list is emptied once its quantity
+    is pooled, so a caller that holds those arrays nowhere else frees them
+    one quantity at a time."""
     out = {}
-    for name, arr in draws.items():
-        q = summarize(arr)
+    for name, chains in draws.items():
+        q = summarize(*chains)
+        chains.clear()
         out[name] = QuantitySummary(q025=q[0], median=q[1], q975=q[2])
     return out
 
@@ -121,7 +143,8 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     draws = {"theta": theta, "growth": growth, "drift_sd": drift_sd,
              "day_effect_sd": day_sd, "test_effect_sd": test_sd}
     return ChainOutput(
-        **draws, summaries=_summaries(draws), days=data.days.copy(),
+        **draws, summaries=_summaries({name: [arr] for name, arr in draws.items()}),
+        days=data.days.copy(),
         n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
         wall_time=time.perf_counter() - start,
         ks_accept_rate=work.ks_accepted / work.ks_proposals,

@@ -320,8 +320,13 @@ class SamplerConfig:
         if self.mode == "online":
             if self.fixed_drift_sd is None:
                 raise ConfigError("online mode requires fixed_drift_sd")
-            if not (self.fixed_drift_sd > 0.0 and math.isfinite(self.fixed_drift_sd)):
-                raise ConfigError("fixed_drift_sd must be finite and > 0")
+            try:  # the chain holds the drift precision at 1/sd^2
+                precision = 1.0 / self.fixed_drift_sd ** 2
+            except (ZeroDivisionError, OverflowError):
+                precision = math.nan
+            if not (self.fixed_drift_sd > 0.0 and 0.0 < precision < math.inf):
+                raise ConfigError("fixed_drift_sd must be > 0 with a finite precision "
+                                  f"1/sd^2 > 0, got {self.fixed_drift_sd!r}")
         elif self.fixed_drift_sd is not None:  # a retrospective chain learns it
             raise ConfigError("fixed_drift_sd is used only in online mode")
 

@@ -145,13 +145,18 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("fit", *SHORT_FIT), {"delta_tmax": 1e400}, "delta_tmax"),
     (("fit", *SHORT_FIT, "--drift-sd", 0.05), None, "drift_sd"),
     (("fit", *SHORT_FIT), {"drift_sd": 0.05}, "drift_sd"),
+    (("online", *SHORT_FIT, "--drift-sd", 1e-200), None, "drift_sd"),
+    (("online", *SHORT_FIT, "--drift-sd", 1e200), None, "drift_sd"),
+    (("fit", *SHORT_FIT), {"group_prior": [1, 2]}, "group_prior"),
+    (("fit", *SHORT_FIT), {"group_prior": "abc"}, "group_prior"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
     """A config or seed value of the wrong type or sign, an infinite one
-    (JSON 1e400), or a drift sd outside on-line mode, where the chain would
-    learn it instead, ends in exit 3 with a message naming it: no traceback,
-    no silent truncation to an integer, and no value recorded but unused."""
+    (JSON 1e400), a drift sd whose precision 1/sd^2 is 0 or infinite, or a
+    drift sd outside on-line mode, where the chain would learn it instead,
+    ends in exit 3 with a message naming it: no traceback, no silent
+    truncation to an integer, and no value recorded but unused."""
     command, *flags = argv
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -425,13 +430,14 @@ def src_env() -> dict:
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
-def run_stage_in_subprocess(*argv) -> tuple[int, bool]:
+def run_stage_in_subprocess(*argv) -> tuple[int, bool, bool]:
     """Exit code of one CLI stage run in a fresh interpreter, and whether the
-    stage left ``scipy.special`` imported."""
+    stage left ``scipy.special`` and ``concurrent.futures.process`` imported."""
     script = ("import json, sys\n"
               "from dir_sampler import cli\n"
               "code = cli.main(sys.argv[1:])\n"
-              "print(json.dumps([code, 'scipy.special' in sys.modules]))\n")
+              "print(json.dumps([code, 'scipy.special' in sys.modules,\n"
+              "                  'concurrent.futures.process' in sys.modules]))\n")
     done = subprocess.run([sys.executable, "-c", script, *map(str, argv)], check=True,
                           env=src_env(), capture_output=True, text=True)
     return tuple(json.loads(done.stdout.splitlines()[-1]))
@@ -440,23 +446,26 @@ def run_stage_in_subprocess(*argv) -> tuple[int, bool]:
 def test_no_stage_loads_scipy_special(tmp_path):
     """The sampler takes ``erfc`` straight from scipy's compiled module and
     inverts the normal in numpy, so no stage, sampling or not, pays for
-    importing the ``scipy.special`` package."""
+    importing the ``scipy.special`` package.  Only a fit of several chains
+    imports the process pool."""
     (tmp_path / "cfg.json").write_text(json.dumps({"days": 20, "items_per_test": 2}))
     data, fit = tmp_path / "data", tmp_path / "fit"
+    short = ("--iterations", 4, "--burn-in", 2, "--thin", 1)
     stages = {
         "simulate": ("simulate", "--paper-defaults", "--config", tmp_path / "cfg.json",
                      "-o", data),
         "validate": ("validate", data),
-        "fit": ("fit", data, "--iterations", 4, "--burn-in", 2, "--thin", 1, "-o", fit),
+        "fit": ("fit", data, *short, "-o", fit),
+        "fit --chains 2": ("fit", data, *short, "--chains", 2, "-o", tmp_path / "chains"),
         "summarize": ("summarize", fit, "-o", tmp_path / "again"),
-        "online": ("online", data, "--iterations", 4, "--burn-in", 2, "--thin", 1,
-                   "--drift-sd", 0.05, "-o", tmp_path / "online"),
+        "online": ("online", data, *short, "--drift-sd", 0.05, "-o", tmp_path / "online"),
     }
-    loaded = {}
+    special, pool = {}, {}
     for stage, argv in stages.items():
-        code, loaded[stage] = run_stage_in_subprocess(*argv)
+        code, special[stage], pool[stage] = run_stage_in_subprocess(*argv)
         assert code == 0, stage
-    assert loaded == dict.fromkeys(stages, False)
+    assert special == dict.fromkeys(stages, False)
+    assert pool == {stage: stage == "fit --chains 2" for stage in stages}
 
 
 def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):

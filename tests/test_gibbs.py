@@ -91,8 +91,10 @@ def test_latent_utilities_take_one_uniform_per_item_in_item_order():
     state.ks_scale[:] = rng.uniform(0.2, 1.0, data.n_items)
     work.refresh_obs_precision(state)
     sign = 2.0 * data.response - 1.0
-    loc = sign * (state.theta[work.item_theta] - work.item_difficulty
-                  + state.day_effect[work.item_day] + state.test_effect[work.item_test])
+    item_test = work.item_test
+    item_day = work.test_day[item_test]
+    loc = sign * (state.theta[work.day_theta[item_day]] - data.difficulty[item_test]
+                  + state.day_effect[item_day] + state.test_effect[item_test])
     sd = np.sqrt(SIGMA_UNIT ** 2 + 4.0 * state.ks_scale ** 2)
     alpha = -loc / sd
     assert alpha.max() <= 4.0 and np.any(sign > 0) and np.any(sign < 0)

@@ -58,6 +58,30 @@ def test_summarize_rejects_empty():
         summarize(np.empty((0, 3)))
 
 
+def test_pooled_summaries_allocate_a_fraction_of_the_chains_draws():
+    """Pooling two chains of a two-chain cohort fit (200 draws x 2,001
+    series each) joins and partitions a block of series at a time: it
+    allocates at most a quarter of the chains' draw bytes, where joining
+    every quantity's draws and letting np.quantile copy each join takes 1.7
+    times those bytes.  The quantiles are np.quantile's over the joined
+    draws, and each quantity's list of chains is emptied once pooled."""
+    rng = np.random.default_rng(1)
+    n, n_draws = 200, 200
+    chains = [{"theta": rng.normal(size=(n_draws, 7 * n)), "drift_sd": rng.random(n_draws),
+               **{name: rng.random((n_draws, n))
+                  for name in ("growth", "day_effect_sd", "test_effect_sd")}}
+              for _ in range(2)]
+    draws = {name: [chain[name] for chain in chains] for name in chains[0]}
+    summarize(np.ones((2, 2)))  # np.quantile imports numpy.ma on its first call
+    pooled, peak = traced_peak(inference._summaries, draws)
+    assert peak <= sum(arr.nbytes for chain in chains for arr in chain.values()) / 4
+    assert all(listed == [] for listed in draws.values())
+    for name, s in pooled.items():
+        want = np.quantile(np.concatenate([chain[name] for chain in chains]),
+                           (0.025, 0.5, 0.975), axis=0)
+        assert np.array_equal(np.stack([s.q025, s.median, s.q975]), want), name
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
