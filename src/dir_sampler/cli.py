@@ -10,11 +10,14 @@ count, K-S acceptance rate, guard-redraw count and per-update wall seconds
 of each chain, or of each day's chain on-line.  Each chain writes its own traces.csv and summary.csv,
 into the output directory for one chain and into chain_NN/ for several, from
 the pool worker that ran it; fit makes every chain_NN/ before any chain
-runs.  The pooled summary.csv of several chains goes next to the manifest:
-the main process keeps only the chains' draws and run-report entries, and
-pools the draws one quantity at a time, a block of series at a time
-(``inference.summarize``), freeing each chain's array of a quantity once it
-is pooled.  Only a fit of several chains imports the process pool.
+runs.  The pooled summary.csv of several chains goes next to the manifest.
+Each worker of such a fit also writes its chain's draws, series-major, to a
+spill file in its chain_NN/ (``inference.write_spill``) and sends back only
+its run-report entry, days and draw count; the main process pools the
+spills a block of series at a time (``inference.pool_spills``), so it never
+holds a chain's draws, and deletes them whether or not the fit succeeds.
+A one-chain fit writes no spill.  Only a fit of several chains imports the
+process pool.
 Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
 """
 
@@ -189,14 +192,17 @@ def _constants_from(cfg: dict, data: Dataset) -> ModelConstants:
 
 def _fit_one_chain(packed):
     """Fit one chain and write its traces.csv and summary.csv to its
-    directory, which must exist, in the pool worker that runs it; returns
-    the chain's output."""
-    data, constants, config, chain_dir = packed
+    directory, which must exist, in the pool worker that runs it, and its
+    draws to ``spill`` unless that is None; returns the chain's run-report
+    entry, days and draw count."""
+    data, constants, config, chain_dir, spill = packed
     output = inference.fit(data, constants, config)
+    if spill is not None:
+        inference.write_spill(output, spill)
     inference.write_traces_csv(output, chain_dir / inference.TRACES_FILE)
     inference.write_summary_csv(output.summaries, output.days,
                                 chain_dir / inference.SUMMARY_FILE)
-    return output
+    return inference.chain_report(output), output.days, output.n_draws
 
 
 def cmd_fit(args, force_online: bool = False) -> int:
@@ -241,26 +247,31 @@ def cmd_fit(args, force_online: bool = False) -> int:
                       else [out_dir])
         for chain_dir in chain_dirs:  # before any chain runs, so a bad path fails at once
             chain_dir.mkdir(exist_ok=True)
-        packed = [(data, constants, replace(config, seed=config.seed + k), chain_dir)
-                  for k, chain_dir in enumerate(chain_dirs)]
-        if chains == 1:
-            outputs = [_fit_one_chain(packed[0])]
-        else:
-            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-            with ProcessPoolExecutor(max_workers=_max_workers(chains)) as pool:
-                outputs = list(pool.map(_fit_one_chain, packed))
+        # only a pooled summary needs the chains' draws after they end
+        spills = ([chain_dir / inference.SPILL_FILE for chain_dir in chain_dirs] if chains > 1
+                  else [None])
+        packed = [(data, constants, replace(config, seed=config.seed + k), chain_dir, spill)
+                  for k, (chain_dir, spill) in enumerate(zip(chain_dirs, spills))]
         command, written = "fit", [chain_dir / name for chain_dir in chain_dirs
                                    for name in (inference.TRACES_FILE, inference.SUMMARY_FILE)]
-        run_report = {"chains": [inference.chain_report(o) for o in outputs]}
-        days, n_draws = outputs[0].days, outputs[0].n_draws
-        if chains > 1:
-            draws = {name: [o.draw_arrays()[name] for o in outputs]
-                     for name in outputs[0].draw_arrays()}
-            del outputs  # each draw is held once, in ``draws``, until its quantity is pooled
-            sp = out_dir / inference.SUMMARY_FILE
-            inference.write_summary_csv(inference._summaries(draws), days, sp)
-            written.append(sp)
-        done = f"fit complete: {chains} chain(s), {n_draws} draws each -> {out_dir}"
+        try:
+            if chains == 1:
+                results = [_fit_one_chain(packed[0])]
+            else:
+                from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+                with ProcessPoolExecutor(max_workers=_max_workers(chains)) as pool:
+                    results = list(pool.map(_fit_one_chain, packed))
+                _, days, n_draws = results[0]
+                sp = out_dir / inference.SUMMARY_FILE
+                inference.write_summary_csv(inference.pool_spills(spills, days, n_draws),
+                                            days, sp)
+                written.append(sp)
+        finally:
+            for spill in spills:
+                if spill is not None:
+                    spill.unlink(missing_ok=True)
+        run_report = {"chains": [chain_report for chain_report, _, _ in results]}
+        done = f"fit complete: {chains} chain(s), {results[0][2]} draws each -> {out_dir}"
 
     report = out_dir / RUN_REPORT_FILE
     report.write_text(json.dumps(run_report, indent=2) + "\n")

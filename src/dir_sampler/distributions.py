@@ -9,7 +9,7 @@ Kolmogorov-Smirnov one (``ks_quantile``) by Newton steps, the normal one
 (``normal_isf``) by Wichura's rational approximation.  The truncated
 normal's ``erfc`` is scipy's compiled ufunc, loaded on first use straight
 from its extension module (``scipy_extension``), so no process imports the
-``scipy.special`` package.
+``scipy`` package.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -43,13 +44,18 @@ def make_rng(seed: int) -> Rng:
 @functools.cache
 def scipy_extension(package: str, name: str):
     """The compiled module ``package.name`` of scipy, loaded on first use
-    without importing ``package``: a scipy subpackage's import loads every
-    extension module it re-exports, and the ones used here are a small part
-    of that (``scipy.special``'s import takes 0.3 s and 16 MiB resident, its
-    ``_special_ufuncs`` module 12 ms and 1.8 MiB)."""
-    parent = importlib.util.find_spec(package)
-    spec = importlib.machinery.PathFinder.find_spec(
-        f"{package}.{name}", parent.submodule_search_locations)
+    without importing ``package`` or ``scipy``: a scipy subpackage's import
+    loads every extension module it re-exports, and the ones used here are a
+    small part of that (``scipy.special``'s import takes 0.3 s and 16 MiB
+    resident, its ``_special_ufuncs`` module 12 ms and 1.8 MiB).  The
+    subpackage's directory is found under the top-level package's search
+    locations, since finding ``package``'s own spec would run
+    ``scipy/__init__``, which imports ``subprocess`` and ``locale`` among
+    others."""
+    top, *subpackage = package.split(".")
+    locations = [str(Path(location, *subpackage))
+                 for location in importlib.util.find_spec(top).submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(f"{package}.{name}", locations)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -4,13 +4,16 @@
 chain per day t over every individual's first t days, with the system-noise
 precision held fixed, the way real-time estimation must.  Every chain starts
 cold and runs the configured burn-in.  Summaries are empirical quantiles of
-the thinned post-burn-in draws.
+the thinned post-burn-in draws, taken by one block-quantile kernel
+(``_block_quantiles``) whether they are of one chain, of chains in memory,
+or of chains' spill files.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,8 +26,12 @@ from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_st
                     validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
-# Bytes of joined draws that ``summarize`` partitions at a time.
+_QUANTILES = np.array(QUANTILES)
+# Bytes of pooled draws that the quantile kernel partitions at a time.
 SUMMARY_BLOCK_BYTES = 512 * 1024
+# A chain's draws, series-major, that a worker of ``fit --chains k`` leaves
+# for the pooled summary (``write_spill``).
+SPILL_FILE = "draws.spill"
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,49 @@ class ChainOutput:
     def n_draws(self) -> int:
         return self.theta.shape[0]
 
-    def draw_arrays(self) -> dict:
-        return {"theta": self.theta, "growth": self.growth, "drift_sd": self.drift_sd,
-                "day_effect_sd": self.day_effect_sd, "test_effect_sd": self.test_effect_sd}
+
+def _block_quantiles(block: np.ndarray, out: np.ndarray) -> None:
+    """The (2.5%, 50%, 97.5%) quantiles of each row of a C-contiguous
+    (series, draws) ``block`` into ``out``, shape (3, series), partitioning
+    the rows in place.
+
+    This is ``np.quantile(block.T, QUANTILES, axis=0, method="linear")``
+    bit for bit: the rows are partitioned at the same order statistics,
+    a row's NaN is reported as np.quantile reports it, and the neighbours
+    are interpolated by numpy's ``_lerp`` formula, a + d t, or b - d (1 - t)
+    where t >= 0.5.  np.quantile's ``np.unique`` call would import
+    ``numpy.ma``; a set of Python ints takes its place."""
+    n = block.shape[1]
+    virtual = (n - 1) * _QUANTILES
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1  # np.quantile then takes the largest draw
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = (virtual - below)[:, None]
+    block.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=1)
+    a, b = block[:, below].T, block[:, above].T
+    diff = b - a
+    np.add(a, diff * gamma, out=out)
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    largest = block[:, -1]
+    np.copyto(out, largest, where=np.isnan(largest))
+
+
+def _pooled_quantiles(n_series: int, n_draws: int, fill) -> np.ndarray:
+    """Quantiles, shape (3, n_series), of ``n_draws`` draws of each series,
+    a block of as many series as fit in ``SUMMARY_BLOCK_BYTES`` (at least
+    one) at a time: ``fill(block, start)`` writes the draws of series
+    ``start`` on into the rows of one reused (series, draws) buffer, which
+    ``_block_quantiles`` then partitions."""
+    out = np.empty((len(QUANTILES), n_series))
+    width = min(n_series, max(1, SUMMARY_BLOCK_BYTES // (out.itemsize * n_draws)))
+    buf = np.empty(width * n_draws)
+    for start in range(0, n_series, width):
+        block = buf[:min(width, n_series - start) * n_draws].reshape(-1, n_draws)
+        fill(block, start)
+        _block_quantiles(block, out[:, start:start + len(block)])
+    return out
 
 
 def summarize(*chains: np.ndarray) -> np.ndarray:
@@ -68,21 +115,22 @@ def summarize(*chains: np.ndarray) -> np.ndarray:
     order statistics) along the draw axis of one draw array, or of several
     chains' arrays joined on that axis; shape (3,) + the series shape.
 
-    The draws are joined and partitioned in place a block of series at a
-    time, as many series as fit in ``SUMMARY_BLOCK_BYTES`` (at least one),
-    so the chains' arrays are left unchanged and no copy of them all is made."""
+    Each block of series is copied from the chains, series-major, into the
+    kernel's buffer, so the chains' arrays are left unchanged and no copy
+    of them all is made."""
     chains = [np.asarray(c) for c in chains]
     if sum(c.size for c in chains) == 0:
         raise ValueError("cannot summarize an empty draw set")
     series = chains[0].shape[1:]
     n_series = math.prod(series)
     chains = [c.reshape(len(c), n_series) for c in chains]
-    out = np.empty((len(QUANTILES), n_series))
-    width = max(1, SUMMARY_BLOCK_BYTES // (out.itemsize * sum(len(c) for c in chains)))
-    for start in range(0, n_series, width):
-        block = np.concatenate([c[:, start:start + width] for c in chains])
-        out[:, start:start + width] = np.quantile(block, QUANTILES, axis=0,
-                                                  overwrite_input=True)
+
+    def fill(block, start):
+        col = 0
+        for c in chains:
+            block[:, col:col + len(c)] = c[:, start:start + len(block)].T
+            col += len(c)
+    out = _pooled_quantiles(n_series, sum(len(c) for c in chains), fill)
     return out.reshape((len(QUANTILES),) + series)
 
 
@@ -298,16 +346,45 @@ def write_online_csv(trajectories, path) -> None:
 
 def read_traces_csv(path):
     """Read a trace file back into draw arrays: (draws dict, days), the
-    draws views of one buffer.  Every series must list the same
-    strictly increasing iterations; a malformed file raises ``DataError``."""
-    days, blocks, lines = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
-    iterations = blocks[0][0, :, 0]
-    if not np.all(np.diff(iterations) > 0):
-        raise DataError(f"{path} line {lines[0]}: iterations are not strictly increasing")
-    differ = np.concatenate([np.any(b[:, :, 0] != iterations, axis=1) for b in blocks])
-    if differ.any():
-        raise DataError(f"{path} line {lines[np.argmax(differ)]}: series iterations "
-                        "differ from those of the first series")
-    draws = {name: b[:, :, 1].T for name, b in zip(TRACE_NAMES, blocks)}
+    draws views of one buffer that holds each value once.  Every series
+    must list the same strictly increasing iterations (``read_keyed_csv``
+    checks them); a malformed file raises ``DataError``."""
+    days, blocks, _ = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
+    draws = {name: b.T for name, b in zip(TRACE_NAMES, blocks)}
     draws["drift_sd"] = draws["drift_sd"][:, 0]
     return draws, days
+
+
+def write_spill(output: ChainOutput, path) -> None:
+    """A chain's draws as raw float64, series-major: one row of draws per
+    series of the keyed layout, in layout order.  Written a block of series
+    at a time, so no transposed copy of a whole quantity is made."""
+    with Path(path).open("wb") as fh:
+        for name in TRACE_NAMES:
+            draws = getattr(output, name).reshape(output.n_draws, -1)
+            width = max(1, SUMMARY_BLOCK_BYTES // draws[:, :1].nbytes)
+            for start in range(0, draws.shape[1], width):
+                fh.write(np.ascontiguousarray(draws[:, start:start + width].T))
+
+
+def pool_spills(paths, days: np.ndarray, n_draws: int) -> dict:
+    """name -> QuantitySummary of the draws of several chains, pooled from
+    their spill files (``write_spill``, ``n_draws`` draws a series each).
+    Each block of series is read from every file into a chain-sized
+    buffer and copied into the kernel's buffer, so the files are read once,
+    front to back, and no chain's draws are held whole."""
+    counts = [int(np.sum(days + 1))] + [len(days)] * 3 + [1]
+    with ExitStack() as stack:
+        files = [stack.enter_context(Path(p).open("rb")) for p in paths]
+
+        def fill(block, start):
+            chunk = np.empty((len(block), n_draws))
+            for k, fh in enumerate(files):
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise DataError(f"{fh.name}: ends before series {start + len(block)}")
+                block[:, k * n_draws:(k + 1) * n_draws] = chunk
+        pooled = _pooled_quantiles(sum(counts), len(files) * n_draws, fill)
+    parts = np.split(pooled, np.cumsum(counts)[:-1], axis=1)
+    parts[-1] = parts[-1][:, 0]  # the drift sd is one scalar, as ``summarize`` gives it
+    return {name: QuantitySummary(q025=q[0], median=q[1], q975=q[2])
+            for name, q in zip(TRACE_NAMES, parts)}

@@ -238,6 +238,10 @@ class ModelConstants:
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError("sigma must be finite and > 0")
+        try:
+            float(self.sigma) ** 2  # a term of every observation precision
+        except OverflowError:
+            raise ConfigError(f"sigma {self.sigma} is too large: its square overflows") from None
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ConfigError("rho must be finite and > 0")
         if not (self.delta_tmax > 0.0 and math.isfinite(self.delta_tmax)):
@@ -613,15 +617,20 @@ def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
 
 def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
     """Read a keyed file into (days, blocks, lines): ``days`` inferred from
-    the first quantity's keys; per quantity, a float array of shape (series,
-    rows per series, len(header) - 3), views of one buffer; and the line
-    where each series starts.  Series out of layout order, missing or of
-    unequal length, and rows that do not parse raise ``DataError``.
+    the first quantity's keys; per quantity, a float array of each row's
+    last field, the value, of shape (series, rows per series), views of one
+    buffer; and the line where each series starts.  Series out of layout
+    order, missing or of unequal length, and rows that do not parse raise
+    ``DataError``.
 
+    The fields between the key and the value (a trace's iteration) are
+    checked, not kept: the first of them must increase strictly down the
+    first series, and every series must repeat the first series' fields.
     ``_blocks`` parses the rows into three byte-string key fields and the
-    value columns.  A series starts where a row's key differs from the row
-    before it, the last key of a block carried over to the next, and each
-    block's values are appended to one buffer.
+    numeric fields.  A series starts where a row's key differs from the row
+    before it, the last key of a block carried over to the next; each
+    block's values are appended to one buffer, and its leading fields are
+    compared with the first series' before the next block is read.
     """
     path = Path(path)
     width = len(header) - 3
@@ -630,6 +639,7 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
     dtype = np.dtype([("key", f"S{max(19, *map(len, names)) + 1}", 3),
                       ("value", "f8", (width,))])
     buf, series, last = array("d"), [], None
+    first_lead, differ = array("d"), None  # first series' leading fields; first other series
     for rows, line_of in _blocks(path, header, dtype):
         keys = rows["key"]
         new = np.empty(len(rows), dtype=bool)
@@ -637,9 +647,26 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
         np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
         for r in np.flatnonzero(new).tolist():
             series.append((tuple(k.decode("latin-1") for k in keys[r].tolist()),
-                           int(line_of[r]), len(buf) + r * width))
+                           int(line_of[r]), len(buf) + r))
+        if width > 1 and differ is None:
+            lead = rows["value"][:, :-1]
+            # the first series' rows in this block, and its length once it ends
+            size = series[1][2] if len(series) > 1 else len(buf) + len(rows)
+            first = min(max(size - len(buf), 0), len(rows))
+            first_lead.frombytes(lead[:first].tobytes())
+            ref = np.frombuffer(first_lead).reshape(-1, width - 1)
+            # a later row's place in its series, were every series as long
+            # as the first; when one is not, the length check fails first
+            r = first
+            while r < len(rows) and differ is None:
+                place = (len(buf) + r) % size
+                m = min(size - place, len(rows) - r)
+                if np.any(lead[r:r + m] != ref[place:place + m]):
+                    differ = (len(buf) + r) // size
+                r += m
+            del lead, ref  # a view of the block, and of first_lead, which grows
         last = keys[-1].copy()
-        buf.frombytes(rows["value"].tobytes())
+        buf.frombytes(rows["value"][:, -1].tobytes())
         del rows, keys  # before the next block is read: one at a time
     if not series or series[0][0][0] != names[0]:
         raise DataError(f"{path}: expected {names[0]} rows first")
@@ -655,11 +682,18 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
                         f"layout order, expected {want}")
     if k < len(layout):
         raise DataError(f"{path}: no rows for {_key_text(layout[k])}")
-    sizes = np.diff(starts, append=len(buf)) // width
+    sizes = np.diff(starts, append=len(buf))
     k = np.argmax(sizes != sizes[0])
     if sizes[k] != sizes[0]:
         raise DataError(f"{path} line {lines[k]}: {_key_text(keys[k])} has {sizes[k]} "
                         f"rows, expected {sizes[0]} as in the first series")
-    values = np.frombuffer(buf).reshape(len(keys), sizes[0], -1)
+    if width > 1:
+        lead = header[3]
+        if not np.all(np.diff(np.frombuffer(first_lead)[::width - 1]) > 0):
+            raise DataError(f"{path} line {lines[0]}: {lead}s are not strictly increasing")
+        if differ is not None:
+            raise DataError(f"{path} line {lines[differ]}: series {lead}s differ from those "
+                            "of the first series")
+    values = np.frombuffer(buf).reshape(len(keys), sizes[0])
     n = len(days)
     return days, np.split(values, np.cumsum([len(keys) - 3 * n - 1, n, n, n])), lines

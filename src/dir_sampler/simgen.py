@@ -9,6 +9,7 @@ index-aligned with the dataset for coverage scoring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -81,6 +82,9 @@ class SimConfig:
                 ok, rule = value > 0.0, "finite and > 0"
             if not np.all(ok & np.isfinite(value)):
                 raise ConfigError(f"{name} {'values ' if value.ndim else ''}must be {rule}")
+        if not math.isfinite(2.0 * self.difficulty_halfwidth):  # the uniform's range
+            raise ConfigError(f"difficulty_halfwidth {self.difficulty_halfwidth} is too "
+                              "large: twice it overflows")
         if self.lapse_table is not None:
             table = np.asarray(self.lapse_table, dtype=float)
             if table.shape != (self.n_individuals, self.days):

@@ -149,11 +149,16 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("online", *SHORT_FIT, "--drift-sd", 1e200), None, "drift_sd"),
     (("fit", *SHORT_FIT), {"group_prior": [1, 2]}, "group_prior"),
     (("fit", *SHORT_FIT), {"group_prior": "abc"}, "group_prior"),
+    (("fit", *SHORT_FIT), {"sigma": 1e200}, "sigma"),
+    (("online", *SHORT_FIT, "--drift-sd", 0.05), {"sigma": 1e200}, "sigma"),
+    (("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e308},
+     "difficulty_halfwidth"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
     """A config or seed value of the wrong type or sign, an infinite one
-    (JSON 1e400), a drift sd whose precision 1/sd^2 is 0 or infinite, or a
+    (JSON 1e400), a drift sd whose precision 1/sd^2 is 0 or infinite, a
+    sigma whose square or a difficulty halfwidth whose double overflows, or a
     drift sd outside on-line mode, where the chain would learn it instead,
     ends in exit 3 with a message naming it: no traceback, no silent
     truncation to an integer, and no value recorded but unused."""
@@ -430,24 +435,27 @@ def src_env() -> dict:
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
-def run_stage_in_subprocess(*argv) -> tuple[int, bool, bool]:
-    """Exit code of one CLI stage run in a fresh interpreter, and whether the
-    stage left ``scipy.special`` and ``concurrent.futures.process`` imported."""
+WATCHED_MODULES = ("scipy", "scipy.special", "numpy.ma", "concurrent.futures.process")
+
+
+def run_stage_in_subprocess(*argv) -> tuple[int, dict]:
+    """Exit code of one CLI stage run in a fresh interpreter, and which of
+    ``WATCHED_MODULES`` the stage left imported (module -> bool)."""
     script = ("import json, sys\n"
               "from dir_sampler import cli\n"
               "code = cli.main(sys.argv[1:])\n"
-              "print(json.dumps([code, 'scipy.special' in sys.modules,\n"
-              "                  'concurrent.futures.process' in sys.modules]))\n")
+              f"print(json.dumps([code, {{m: m in sys.modules for m in {WATCHED_MODULES}}}]))\n")
     done = subprocess.run([sys.executable, "-c", script, *map(str, argv)], check=True,
                           env=src_env(), capture_output=True, text=True)
     return tuple(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_no_stage_loads_scipy_special(tmp_path):
-    """The sampler takes ``erfc`` straight from scipy's compiled module and
-    inverts the normal in numpy, so no stage, sampling or not, pays for
-    importing the ``scipy.special`` package.  Only a fit of several chains
-    imports the process pool."""
+    """The sampler takes ``erfc`` and LAPACK straight from scipy's compiled
+    modules and inverts the normal in numpy, so no stage, sampling or not,
+    imports the ``scipy`` package or ``scipy.special``.  Summaries take
+    their quantiles without np.quantile, so no stage imports ``numpy.ma``.
+    Only a fit of several chains imports the process pool."""
     (tmp_path / "cfg.json").write_text(json.dumps({"days": 20, "items_per_test": 2}))
     data, fit = tmp_path / "data", tmp_path / "fit"
     short = ("--iterations", 4, "--burn-in", 2, "--thin", 1)
@@ -460,12 +468,11 @@ def test_no_stage_loads_scipy_special(tmp_path):
         "summarize": ("summarize", fit, "-o", tmp_path / "again"),
         "online": ("online", data, *short, "--drift-sd", 0.05, "-o", tmp_path / "online"),
     }
-    special, pool = {}, {}
     for stage, argv in stages.items():
-        code, special[stage], pool[stage] = run_stage_in_subprocess(*argv)
+        code, loaded = run_stage_in_subprocess(*argv)
         assert code == 0, stage
-    assert special == dict.fromkeys(stages, False)
-    assert pool == {stage: stage == "fit --chains 2" for stage in stages}
+        assert loaded == {"scipy": False, "scipy.special": False, "numpy.ma": False,
+                          "concurrent.futures.process": stage == "fit --chains 2"}, stage
 
 
 def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
@@ -489,6 +496,51 @@ def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
             series = series[:, int(row["individual"]) - 1]
         want = np.quantile(series, (0.025, 0.5, 0.975))
         assert [float(row[q]) for q in ("q025", "median", "q975")] == want.tolist()
+
+
+def test_three_chain_summary_is_np_quantile_over_the_chains_traces(data_dir, tmp_path,
+                                                                  capsys):
+    """The pooled summary of three chains, built from the chains' spill
+    files, is np.quantile over the three traces.csv, and no spill file is
+    left: each chain directory holds exactly its traces and summary, and a
+    one-chain fit writes none."""
+    out = tmp_path / "fit"
+    code, _ = run(capsys, "fit", data_dir, *SHORT_FIT, "--chains", 3, "-o", out)
+    assert code == 0
+    chains = [inference.read_traces_csv(out / f"chain_{k:02d}" / "traces.csv")
+              for k in range(3)]
+    days = chains[0][1]
+    want = {name: np.quantile(np.concatenate([draws[name] for draws, _ in chains]),
+                              (0.025, 0.5, 0.975), axis=0) for name in chains[0][0]}
+    back = tmp_path / "back"
+    inference.write_summary_csv({name: inference.QuantitySummary(*q) for name, q in want.items()},
+                                days, back)
+    assert (out / "summary.csv").read_bytes() == back.read_bytes()
+    for k in range(3):
+        assert sorted(p.name for p in (out / f"chain_{k:02d}").iterdir()) == [
+            "summary.csv", "traces.csv"]
+    code, _ = run(capsys, "fit", data_dir, *SHORT_FIT, "-o", tmp_path / "one")
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == [
+        "manifest.json", "run_report.json", "summary.csv", "traces.csv"]
+
+
+def fail(*args):
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("where", ["write_traces_csv", "pool_spills"])
+def test_no_spill_file_is_left_when_a_chain_or_the_pooling_fails(data_dir, tmp_path, capsys,
+                                                                monkeypatch, where):
+    """A chain that fails after writing its spill (its trace write, in the
+    pool worker, which forks with this patch) and a pooling that fails both
+    end in exit 1, and leave no spill file."""
+    monkeypatch.setattr(inference, where, fail)
+    out = tmp_path / "fit"
+    code, err = run(capsys, "fit", data_dir, *SHORT_FIT, "--chains", 2, "-o", out)
+    assert code == 1 and "no space left on device" in err
+    assert not list(out.glob("chain_*/" + inference.SPILL_FILE))
+    assert not (out / "manifest.json").exists()
 
 
 def test_each_chain_writes_what_a_one_chain_fit_with_its_seed_writes(data_dir, tmp_path,

@@ -391,10 +391,11 @@ KEYED_NAMES = ("theta", "growth", "day_effect_precision", "test_effect_precision
 def keyed_file(path, rows, edit=lambda lines: lines):
     """Write a keyed file of ``rows`` rows a series, then apply ``edit`` to
     its list of text lines (line n is ``lines[n - 1]``; a lone surrogate
-    writes an undecodable byte); returns the values written, shape (16,
-    rows, 2)."""
-    values = np.arange(16 * rows * 2, dtype=float).reshape(16, rows, 2) / 8
-    write_keyed_csv(path, KEYED_HEADER, KEYED_NAMES, [11], values)
+    writes an undecodable byte).  Every series lists iterations 1 to
+    ``rows``; returns the values written, shape (16, rows)."""
+    values = np.arange(16 * rows, dtype=float).reshape(16, rows) / 8
+    iterations = np.broadcast_to(np.arange(1.0, rows + 1), values.shape)
+    write_keyed_csv(path, KEYED_HEADER, KEYED_NAMES, [11], np.stack([iterations, values], -1))
     lines = edit(path.read_text().splitlines())
     path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     return values
@@ -478,6 +479,28 @@ def test_read_keyed_csv_reads_a_last_block_of_one_line(tmp_path):
         "key-beyond-latin-1", "undecodable"])
 def test_read_keyed_csv_names_the_line_at_fault(tmp_path, edit, message):
     keyed_file(tmp_path / "keyed.csv", 1100, edit)
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_keyed(tmp_path / "keyed.csv")
+
+
+@pytest.mark.parametrize("rows, line, iteration, message", [
+    (1100, 17000, "500", "line 16502: series iterations differ from those of the first series"),
+    (9000, 9001, "9000.5", "line 9002: series iterations differ from those of the first series"),
+    (9000, 9001, "8999", "line 2: iterations are not strictly increasing"),
+], ids=["later-series-in-a-later-block", "first-series-across-blocks",
+        "first-series-decreasing-in-a-later-block"])
+def test_read_keyed_csv_checks_iterations_against_the_first_series(tmp_path, rows, line,
+                                                                    iteration, message):
+    """The reader keeps only values, but checks every row's iteration
+    against the first series' iteration at the same place, block by block:
+    line 17,000 is row 499 of the last series, in the third block; with
+    9,000 rows a series, line 9,001 is row 9,000 of the first series, in
+    the second block."""
+    def edit(lines):
+        parts = lines[line - 1].split(",")
+        parts[3] = iteration
+        return lines[:line - 1] + [",".join(parts)] + lines[line:]
+    keyed_file(tmp_path / "keyed.csv", rows, edit)
     with pytest.raises(DataError, match=re.escape(message)):
         read_keyed(tmp_path / "keyed.csv")
 
