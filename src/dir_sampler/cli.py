@@ -11,11 +11,12 @@ of each chain, or of each day's chain on-line.  Each chain writes its own traces
 into the output directory for one chain and into chain_NN/ for several, from
 the pool worker that ran it; fit makes every chain_NN/ before any chain
 runs.  The pooled summary.csv of several chains goes next to the manifest.
-Each worker of such a fit also writes its chain's draws, series-major, to a
-spill file in its chain_NN/ (``inference.write_spill``) and sends back only
-its run-report entry, days and draw count; the main process pools the
-spills a block of series at a time (``inference.pool_spills``), so it never
-holds a chain's draws, and deletes them whether or not the fit succeeds.
+Each worker of such a fit also writes its chain's draw matrix
+(``inference.ChainOutput.draws``) as raw float64 to a spill file in its
+chain_NN/ and sends back only its run-report entry, days and draw count;
+the main process pools the spills a block of series at a time
+(``inference.pool_spills``), so it never holds a chain's draws, and deletes
+them whether or not the fit succeeds.
 A one-chain fit writes no spill.  Only a fit of several chains imports the
 process pool.
 Exit codes: 0 ok, 1 runtime error, 2 validation failure, 3 config error.
@@ -198,7 +199,7 @@ def _fit_one_chain(packed):
     data, constants, config, chain_dir, spill = packed
     output = inference.fit(data, constants, config)
     if spill is not None:
-        inference.write_spill(output, spill)
+        output.draws.tofile(spill)
     inference.write_traces_csv(output, chain_dir / inference.TRACES_FILE)
     inference.write_summary_csv(output.summaries, output.days,
                                 chain_dir / inference.SUMMARY_FILE)
@@ -333,12 +334,11 @@ def cmd_summarize(args) -> int:
     out_dir = Path(args.output) if args.output else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     draws, days = inference.read_traces_csv(traces)
-    n_theta = draws["theta"].shape[1]
-    summaries = inference._summaries({name: [arr] for name, arr in draws.items()})
+    summaries = inference._summaries(draws, days)
 
     sp = out_dir / inference.SUMMARY_FILE
     inference.write_summary_csv(summaries, days, sp)
-    print(f"recomputed quantiles for {n_theta} ability points -> {sp}")
+    print(f"recomputed quantiles for {len(summaries['theta'].median)} ability points -> {sp}")
 
     truth_path = _fit_truth(in_dir)
     if truth_path is not None:

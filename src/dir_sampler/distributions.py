@@ -160,13 +160,13 @@ def _sample_tail_std(rng: Rng, alpha: np.ndarray) -> np.ndarray:
     raise NumericError("truncated-normal tail rejection failed to accept")
 
 
-def sample_truncated_normal(rng: Rng, mean, variance, side: str, out=None):
-    """Draw from N(mean, variance) restricted to (0, inf) or (-inf, 0].
+def sample_truncated_normal(rng: Rng, mean, variance, out=None):
+    """Draw from N(mean, variance) restricted to (0, inf).
 
     ``mean`` and ``variance`` broadcast; the result has the broadcast shape
-    (a scalar for scalar inputs).  ``side`` is ``"positive"`` or
-    ``"negative"``.  ``out``, a float64 array of the broadcast shape that
-    overlaps neither input, receives the draws when given.
+    (a scalar for scalar inputs).  ``out``, a float64 array of the
+    broadcast shape that overlaps neither input, receives the draws when
+    given.
 
     Every element takes one uniform, in element order, through the inverse
     CDF on the survival scale, computed in place in the result and one
@@ -179,11 +179,9 @@ def sample_truncated_normal(rng: Rng, mean, variance, side: str, out=None):
         raise ValueError("variance must be finite and > 0")
     if not np.all(np.isfinite(mean)):
         raise ValueError("mean must be finite")
-    if side not in ("positive", "negative"):
-        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
     mean, variance = np.broadcast_arrays(mean, variance)
     scalar = mean.ndim == 0
-    loc = np.atleast_1d(mean if side == "positive" else -mean)
+    loc = np.atleast_1d(mean)
     variance = np.atleast_1d(variance)
     draw = np.empty(loc.shape) if out is None else out
     z = np.empty(loc.shape)
@@ -206,11 +204,9 @@ def sample_truncated_normal(rng: Rng, mean, variance, side: str, out=None):
     if np.any(tail):
         sd = np.sqrt(variance[tail])
         draw[tail] = loc[tail] + sd * _sample_tail_std(rng, -loc[tail] / sd)
-    # keep draws inside the open/closed support even when rounding collapses
+    # keep draws inside the open support even when rounding collapses
     # mean + sd*z to exactly zero
     np.maximum(draw, _TINY, out=draw)
-    if side == "negative":
-        np.negative(draw, out=draw)
     return float(draw[0]) if scalar else draw
 
 

@@ -143,7 +143,7 @@ def update_latent_utilities(rng: Rng, state: LatentState, work: SweepWorkspace) 
     loc = work.item_mean(state)
     loc *= sign
     var = np.reciprocal(work.psi, out=work.var)
-    sample_truncated_normal(rng, loc, var, "positive", out=state.latent_utility)
+    sample_truncated_normal(rng, loc, var, out=state.latent_utility)
     state.latent_utility *= sign
 
 
@@ -185,7 +185,7 @@ def update_growth(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
         raise NumericError(f"growth update, individual {bad}: degenerate precision "
                            f"(all 1 - rho*theta terms may be zero)")
     mean = state.drift_precision * num / precision
-    state.growth[:] = sample_truncated_normal(rng, mean, 1.0 / precision, "positive")
+    state.growth[:] = sample_truncated_normal(rng, mean, 1.0 / precision)
 
 
 def update_test_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:

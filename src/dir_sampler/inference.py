@@ -3,15 +3,16 @@
 ``fit`` runs one seeded chain over the full data; ``fit_online`` runs one
 chain per day t over every individual's first t days, with the system-noise
 precision held fixed, the way real-time estimation must.  Every chain starts
-cold and runs the configured burn-in.  Summaries are empirical quantiles of
-the thinned post-burn-in draws, taken by one block-quantile kernel
-(``_block_quantiles``) whether they are of one chain, of chains in memory,
-or of chains' spill files.
+cold and runs the configured burn-in.  A chain's thinned post-burn-in draws
+are one (series, draws) matrix whose rows follow the keyed layout of
+``TRACE_NAMES``, the row order of traces.csv, summary.csv and the spill
+file of ``fit --chains k``.  Summaries are empirical quantiles of those
+draws, taken by one block-quantile kernel (``_block_quantiles``) whether
+they are of one chain's matrix or of several chains' spill files.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -22,15 +23,15 @@ import numpy as np
 from .errors import DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_state,
-                    propriety_failures, read_keyed_csv, theta_offsets,
-                    validate_dataset, write_keyed_csv)
+                    keyed_layout, propriety_failures, read_keyed_csv, split_keyed,
+                    theta_offsets, validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
 _QUANTILES = np.array(QUANTILES)
 # Bytes of pooled draws that the quantile kernel partitions at a time.
 SUMMARY_BLOCK_BYTES = 512 * 1024
-# A chain's draws, series-major, that a worker of ``fit --chains k`` leaves
-# for the pooled summary (``write_spill``).
+# A chain's draw matrix as raw float64, that a worker of ``fit --chains k``
+# leaves for the pooled summary (``pool_spills``).
 SPILL_FILE = "draws.spill"
 
 
@@ -44,13 +45,17 @@ class QuantitySummary:
 @dataclass
 class ChainOutput:
     """Thinned draws plus (2.5%, 50%, 97.5%) summaries for every unknown
-    reported on the scale the study uses: sds, not precisions."""
+    reported on the scale the study uses: sds, not precisions.
 
-    theta: np.ndarray           # (draws, sum_i (T_i+1))
-    growth: np.ndarray          # (draws, n)
-    drift_sd: np.ndarray        # (draws,)
-    day_effect_sd: np.ndarray   # (draws, n)
-    test_effect_sd: np.ndarray  # (draws, n)
+    ``draws`` is one C-contiguous float64 matrix of shape (series, draws).
+    Its rows are the series of the keyed layout of ``TRACE_NAMES`` in file
+    order (``model.split_keyed`` splits them): theta of individual i, day
+    t = 0..days[i], for each individual in turn; then growth, day_effect_sd
+    and test_effect_sd, one row per individual each; then drift_sd.  It
+    must stay C-contiguous: ``tofile`` writes an F-ordered matrix, such as
+    the transpose of a draws-major array, several times slower."""
+
+    draws: np.ndarray           # (series, draws)
     summaries: dict             # name -> QuantitySummary
     days: np.ndarray
     n_iterations: int
@@ -63,7 +68,7 @@ class ChainOutput:
 
     @property
     def n_draws(self) -> int:
-        return self.theta.shape[0]
+        return self.draws.shape[1]
 
 
 def _block_quantiles(block: np.ndarray, out: np.ndarray) -> None:
@@ -110,41 +115,32 @@ def _pooled_quantiles(n_series: int, n_draws: int, fill) -> np.ndarray:
     return out
 
 
-def summarize(*chains: np.ndarray) -> np.ndarray:
+def summarize(draws: np.ndarray) -> np.ndarray:
     """Empirical (2.5%, 50%, 97.5%) quantiles (linear interpolation between
-    order statistics) along the draw axis of one draw array, or of several
-    chains' arrays joined on that axis; shape (3,) + the series shape.
-
-    Each block of series is copied from the chains, series-major, into the
-    kernel's buffer, so the chains' arrays are left unchanged and no copy
-    of them all is made."""
-    chains = [np.asarray(c) for c in chains]
-    if sum(c.size for c in chains) == 0:
+    order statistics) of each row of a (series, draws) matrix; shape
+    (3, series).  Each block of rows is copied into the kernel's buffer,
+    so ``draws`` is left unchanged."""
+    if draws.size == 0:
         raise ValueError("cannot summarize an empty draw set")
-    series = chains[0].shape[1:]
-    n_series = math.prod(series)
-    chains = [c.reshape(len(c), n_series) for c in chains]
 
     def fill(block, start):
-        col = 0
-        for c in chains:
-            block[:, col:col + len(c)] = c[:, start:start + len(block)].T
-            col += len(c)
-    out = _pooled_quantiles(n_series, sum(len(c) for c in chains), fill)
-    return out.reshape((len(QUANTILES),) + series)
+        block[:] = draws[start:start + len(block)]
+    return _pooled_quantiles(len(draws), draws.shape[1], fill)
 
 
-def _summaries(draws: dict) -> dict:
-    """name -> QuantitySummary of each quantity's list of chains' draw
-    arrays, pooled by ``summarize``.  Each list is emptied once its quantity
-    is pooled, so a caller that holds those arrays nowhere else frees them
-    one quantity at a time."""
-    out = {}
-    for name, chains in draws.items():
-        q = summarize(*chains)
-        chains.clear()
-        out[name] = QuantitySummary(q025=q[0], median=q[1], q975=q[2])
-    return out
+def _by_quantity(quantiles: np.ndarray, days: np.ndarray) -> dict:
+    """name -> QuantitySummary of (3, series) quantiles of the series of the
+    keyed layout; the drift sd's three quantiles are scalars."""
+    parts = split_keyed(quantiles.T, len(days))
+    parts[-1] = parts[-1][0]
+    return {name: QuantitySummary(*q.T) for name, q in zip(TRACE_NAMES, parts)}
+
+
+def _summaries(draws: np.ndarray, days: np.ndarray) -> dict:
+    """name -> QuantitySummary of each quantity of one chain's (series,
+    draws) matrix in the keyed layout of individuals with ``days`` test
+    days each."""
+    return _by_quantity(summarize(draws), days)
 
 
 def _stream_seed(*key) -> np.random.SeedSequence:
@@ -173,26 +169,20 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
         seed_seq = _stream_seed(config.seed)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
 
-    theta = np.empty((n_draws, len(state.theta)))
-    growth = np.empty((n_draws, data.n_individuals))
-    drift_sd = np.empty(n_draws)
-    day_sd = np.empty((n_draws, data.n_individuals))
-    test_sd = np.empty((n_draws, data.n_individuals))
+    draws = np.empty((len(state.theta) + 3 * data.n_individuals + 1, n_draws))
+    theta, growth, day_sd, test_sd, drift_sd = split_keyed(draws, data.n_individuals)
     k = 0
     for sweep in range(1, config.n_iterations + 1):
         gibbs_sweep(rng, state, work, mode=config.mode)
         if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-            theta[k] = state.theta
-            growth[k] = state.growth
-            drift_sd[k] = state.drift_precision ** -0.5
-            day_sd[k] = state.day_effect_precision ** -0.5
-            test_sd[k] = state.test_effect_precision ** -0.5
+            theta[:, k] = state.theta
+            growth[:, k] = state.growth
+            day_sd[:, k] = state.day_effect_precision ** -0.5
+            test_sd[:, k] = state.test_effect_precision ** -0.5
+            drift_sd[:, k] = state.drift_precision ** -0.5
             k += 1
-    draws = {"theta": theta, "growth": growth, "drift_sd": drift_sd,
-             "day_effect_sd": day_sd, "test_effect_sd": test_sd}
     return ChainOutput(
-        **draws, summaries=_summaries({name: [arr] for name, arr in draws.items()}),
-        days=data.days.copy(),
+        draws=draws, summaries=_summaries(draws, data.days), days=data.days.copy(),
         n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
         wall_time=time.perf_counter() - start,
         ks_accept_rate=work.ks_accepted / work.ks_proposals,
@@ -320,8 +310,7 @@ def write_traces_csv(output: ChainOutput, path) -> None:
     keyed layout of ``model.keyed_layout``."""
     iterations = output.burn_in + output.thin * np.arange(1, output.n_draws + 1)
     write_keyed_csv(path, TRACES_HEADER, TRACE_NAMES, output.days,
-                    (np.column_stack([iterations, column]) for name in TRACE_NAMES
-                     for column in np.atleast_2d(getattr(output, name).T)))
+                    (np.column_stack([iterations, row]) for row in output.draws))
 
 
 def write_summary_csv(summaries: dict, days: np.ndarray, path) -> None:
@@ -345,35 +334,21 @@ def write_online_csv(trajectories, path) -> None:
 
 
 def read_traces_csv(path):
-    """Read a trace file back into draw arrays: (draws dict, days), the
-    draws views of one buffer that holds each value once.  Every series
-    must list the same strictly increasing iterations (``read_keyed_csv``
-    checks them); a malformed file raises ``DataError``."""
-    days, blocks, _ = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
-    draws = {name: b.T for name, b in zip(TRACE_NAMES, blocks)}
-    draws["drift_sd"] = draws["drift_sd"][:, 0]
+    """Read a trace file back into (draws, days): ``draws`` the (series,
+    draws) matrix of a ``ChainOutput``, which holds each value once.  Every
+    series must list the same strictly increasing iterations
+    (``read_keyed_csv`` checks them); a malformed file raises ``DataError``."""
+    days, draws, _ = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
     return draws, days
-
-
-def write_spill(output: ChainOutput, path) -> None:
-    """A chain's draws as raw float64, series-major: one row of draws per
-    series of the keyed layout, in layout order.  Written a block of series
-    at a time, so no transposed copy of a whole quantity is made."""
-    with Path(path).open("wb") as fh:
-        for name in TRACE_NAMES:
-            draws = getattr(output, name).reshape(output.n_draws, -1)
-            width = max(1, SUMMARY_BLOCK_BYTES // draws[:, :1].nbytes)
-            for start in range(0, draws.shape[1], width):
-                fh.write(np.ascontiguousarray(draws[:, start:start + width].T))
 
 
 def pool_spills(paths, days: np.ndarray, n_draws: int) -> dict:
     """name -> QuantitySummary of the draws of several chains, pooled from
-    their spill files (``write_spill``, ``n_draws`` draws a series each).
-    Each block of series is read from every file into a chain-sized
-    buffer and copied into the kernel's buffer, so the files are read once,
-    front to back, and no chain's draws are held whole."""
-    counts = [int(np.sum(days + 1))] + [len(days)] * 3 + [1]
+    their spill files, each a chain's ``draws`` matrix as raw float64
+    (``n_draws`` draws a series).  Each block of series is read from every
+    file into a chain-sized buffer and copied into the kernel's buffer, so
+    the files are read once, front to back, and no chain's draws are held
+    whole."""
     with ExitStack() as stack:
         files = [stack.enter_context(Path(p).open("rb")) for p in paths]
 
@@ -383,8 +358,6 @@ def pool_spills(paths, days: np.ndarray, n_draws: int) -> dict:
                 if fh.readinto(chunk) != chunk.nbytes:
                     raise DataError(f"{fh.name}: ends before series {start + len(block)}")
                 block[:, k * n_draws:(k + 1) * n_draws] = chunk
-        pooled = _pooled_quantiles(sum(counts), len(files) * n_draws, fill)
-    parts = np.split(pooled, np.cumsum(counts)[:-1], axis=1)
-    parts[-1] = parts[-1][:, 0]  # the drift sd is one scalar, as ``summarize`` gives it
-    return {name: QuantitySummary(q025=q[0], median=q[1], q975=q[2])
-            for name, q in zip(TRACE_NAMES, parts)}
+        pooled = _pooled_quantiles(len(keyed_layout(days, TRACE_NAMES)),
+                                   len(files) * n_draws, fill)
+    return _by_quantity(pooled, days)

@@ -594,6 +594,13 @@ def keyed_layout(days, names: Sequence[str]) -> list:
     return keys + [(names[4], "", "")]
 
 
+def split_keyed(rows: np.ndarray, n: int) -> list:
+    """The five quantities of ``rows``, one row per series of the keyed
+    layout of ``n`` individuals: views of ``rows`` of 1 + sum_i days[i], n,
+    n, n and 1 rows, in layout order."""
+    return np.split(rows, np.cumsum([len(rows) - 3 * n - 1, n, n, n]))
+
+
 def _key_text(key) -> str:
     quantity, individual, day = key
     return (quantity + (f" individual {individual}" if individual else "")
@@ -616,12 +623,12 @@ def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
 
 
 def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
-    """Read a keyed file into (days, blocks, lines): ``days`` inferred from
-    the first quantity's keys; per quantity, a float array of each row's
-    last field, the value, of shape (series, rows per series), views of one
-    buffer; and the line where each series starts.  Series out of layout
-    order, missing or of unequal length, and rows that do not parse raise
-    ``DataError``.
+    """Read a keyed file into (days, values, lines): ``days`` inferred from
+    the first quantity's keys; a float array of each row's last field, the
+    value, of shape (series, rows per series) in layout order, which holds
+    each value once (``split_keyed`` splits it into quantities); and the
+    line where each series starts.  Series out of layout order, missing or
+    of unequal length, and rows that do not parse raise ``DataError``.
 
     The fields between the key and the value (a trace's iteration) are
     checked, not kept: the first of them must increase strictly down the
@@ -694,6 +701,4 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
         if differ is not None:
             raise DataError(f"{path} line {lines[differ]}: series {lead}s differ from those "
                             "of the first series")
-    values = np.frombuffer(buf).reshape(len(keys), sizes[0])
-    n = len(days)
-    return days, np.split(values, np.cumsum([len(keys) - 3 * n - 1, n, n, n])), lines
+    return days, np.frombuffer(buf).reshape(len(keys), sizes[0]), lines

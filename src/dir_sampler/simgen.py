@@ -18,8 +18,8 @@ import numpy as np
 
 from .distributions import make_rng
 from .errors import ConfigError, DataError
-from .model import (Dataset, ModelConstants, _offsets, read_keyed_csv, theta_offsets,
-                    validate_dataset, write_keyed_csv)
+from .model import (Dataset, ModelConstants, _offsets, read_keyed_csv, split_keyed,
+                    theta_offsets, validate_dataset, write_keyed_csv)
 
 SIM_GROUP = "sim"
 TRUTH_FILE = "truth.csv"
@@ -223,10 +223,10 @@ def read_truth_csv(path) -> SimTruth:
     """Read back what ``write_truth_csv`` stores (realized effects come back
     empty).  Rows must follow the keyed layout, one row per series; a
     malformed file raises ``DataError`` naming it, and any faulty line."""
-    days, blocks, _ = read_keyed_csv(path, TRUTH_HEADER, TRUTH_NAMES)
-    if blocks[0].shape[1] != 1:
-        raise DataError(f"{path}: {blocks[0].shape[1]} rows per series, expected 1")
-    theta, growth, day_precision, test_precision, drift = (b.ravel() for b in blocks)
+    days, values, _ = read_keyed_csv(path, TRUTH_HEADER, TRUTH_NAMES)
+    if values.shape[1] != 1:
+        raise DataError(f"{path}: {values.shape[1]} rows per series, expected 1")
+    theta, growth, day_precision, test_precision, drift = split_keyed(values[:, 0], len(days))
     return SimTruth(theta=theta, growth=growth, day_effect_precision=day_precision,
                     test_effect_precision=test_precision, drift_precision=float(drift[0]),
                     day_effect=np.empty(0), test_effect=np.empty(0),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from dir_sampler import cli, inference, write_dataset_csv
+from dir_sampler.model import split_keyed
 
 from conftest import build_dataset, proper_individual
 
@@ -482,18 +483,19 @@ def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):
     assert code == 0
     chains = [inference.read_traces_csv(out / f"chain_{k:02d}" / "traces.csv")
               for k in (0, 1)]
-    starts = np.concatenate([[0], np.cumsum(chains[0][1] + 1)])  # theta offsets from days
-    pooled = {name: np.concatenate([draws[name] for draws, _ in chains])
-              for name in chains[0][0]}
+    days = chains[0][1]
+    starts = np.concatenate([[0], np.cumsum(days + 1)])  # theta offsets from days
+    pooled = dict(zip(inference.TRACE_NAMES, split_keyed(
+        np.concatenate([draws for draws, _ in chains], axis=1), len(days))))
     with (out / "summary.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == int(starts[-1]) + 3 * 2 + 1
     for row in rows:
         series = pooled[row["quantity"]]
         if row["quantity"] == "theta":
-            series = series[:, starts[int(row["individual"]) - 1] + int(row["day"])]
+            series = series[starts[int(row["individual"]) - 1] + int(row["day"])]
         elif row["individual"]:
-            series = series[:, int(row["individual"]) - 1]
+            series = series[int(row["individual"]) - 1]
         want = np.quantile(series, (0.025, 0.5, 0.975))
         assert [float(row[q]) for q in ("q025", "median", "q975")] == want.tolist()
 
@@ -510,11 +512,13 @@ def test_three_chain_summary_is_np_quantile_over_the_chains_traces(data_dir, tmp
     chains = [inference.read_traces_csv(out / f"chain_{k:02d}" / "traces.csv")
               for k in range(3)]
     days = chains[0][1]
-    want = {name: np.quantile(np.concatenate([draws[name] for draws, _ in chains]),
-                              (0.025, 0.5, 0.975), axis=0) for name in chains[0][0]}
+    want = np.quantile(np.concatenate([draws for draws, _ in chains], axis=1),
+                       (0.025, 0.5, 0.975), axis=1)
     back = tmp_path / "back"
-    inference.write_summary_csv({name: inference.QuantitySummary(*q) for name, q in want.items()},
-                                days, back)
+    inference.write_summary_csv(
+        {name: inference.QuantitySummary(*q.T)
+         for name, q in zip(inference.TRACE_NAMES, split_keyed(want.T, len(days)))},
+        days, back)
     assert (out / "summary.csv").read_bytes() == back.read_bytes()
     for k in range(3):
         assert sorted(p.name for p in (out / f"chain_{k:02d}").iterdir()) == [

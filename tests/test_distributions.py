@@ -19,31 +19,26 @@ from conftest import mc_se_mean
 # ---------------------------------------------------------------------------
 
 @given(mean=st.floats(-40.0, 40.0), log_var=st.floats(-8.0, 8.0),
-       side=st.sampled_from(["positive", "negative"]), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_truncated_normal_support(mean, log_var, side, seed):
+def test_truncated_normal_support(mean, log_var, seed):
     draws = sample_truncated_normal(make_rng(seed), np.full(16, mean),
-                                    np.full(16, np.exp(log_var)), side)
+                                    np.full(16, np.exp(log_var)))
     assert np.all(np.isfinite(draws))
-    if side == "positive":
-        assert np.all(draws > 0.0)
-    else:
-        assert np.all(draws <= 0.0)
+    assert np.all(draws > 0.0)
 
 
 def test_truncated_normal_half_normal_mean():
-    draws = sample_truncated_normal(make_rng(1), np.zeros(10**6), np.ones(10**6),
-                                    "positive")
+    draws = sample_truncated_normal(make_rng(1), np.zeros(10**6), np.ones(10**6))
     assert abs(draws.mean() - np.sqrt(2.0 / np.pi)) < 0.003
 
 
 def test_truncated_normal_far_tail_matches_quadrature():
-    # N(5, 1) conditioned to (-inf, 0]: the sampler is deep in its tail branch
-    draws = sample_truncated_normal(make_rng(2), np.full(10**6, 5.0), np.ones(10**6),
-                                    "negative")
-    assert np.all(draws <= 0.0)
-    norm = integrate.quad(lambda x: np.exp(-0.5 * (x - 5.0) ** 2), -np.inf, 0.0)[0]
-    mean = integrate.quad(lambda x: x * np.exp(-0.5 * (x - 5.0) ** 2), -np.inf, 0.0)[0] / norm
+    # N(-5, 1) conditioned to (0, inf): the sampler is deep in its tail branch
+    draws = sample_truncated_normal(make_rng(2), np.full(10**6, -5.0), np.ones(10**6))
+    assert np.all(draws > 0.0)
+    norm = integrate.quad(lambda x: np.exp(-0.5 * (x + 5.0) ** 2), 0.0, np.inf)[0]
+    mean = integrate.quad(lambda x: x * np.exp(-0.5 * (x + 5.0) ** 2), 0.0, np.inf)[0] / norm
     assert abs(draws.mean() - mean) < 0.01
 
 
@@ -51,8 +46,7 @@ def test_truncated_normal_extreme_tail_terminates():
     # standardized truncation point 40: must not loop unboundedly, and the
     # draws concentrate just above 0 at scale 1/40 (inverse Mills ratio)
     alpha = 40.0
-    draws = sample_truncated_normal(make_rng(3), np.full(10**5, -alpha),
-                                    np.ones(10**5), "positive")
+    draws = sample_truncated_normal(make_rng(3), np.full(10**5, -alpha), np.ones(10**5))
     assert np.all(draws > 0.0)
     mills_mean = 1.0 / alpha - 2.0 / alpha**3 + 10.0 / alpha**5
     assert abs(draws.mean() - mills_mean) < 1e-3
@@ -60,21 +54,19 @@ def test_truncated_normal_extreme_tail_terminates():
 
 def test_truncated_normal_rejects_bad_variance():
     with pytest.raises(ValueError):
-        sample_truncated_normal(make_rng(0), 0.0, 0.0, "positive")
+        sample_truncated_normal(make_rng(0), 0.0, 0.0)
     with pytest.raises(ValueError):
-        sample_truncated_normal(make_rng(0), 0.0, -1.0, "negative")
-    with pytest.raises(ValueError):
-        sample_truncated_normal(make_rng(0), 0.0, 1.0, "both")
+        sample_truncated_normal(make_rng(0), 0.0, -1.0)
 
 
 def test_truncated_normal_deterministic():
-    a = sample_truncated_normal(make_rng(11), np.zeros(100), np.ones(100), "positive")
-    b = sample_truncated_normal(make_rng(11), np.zeros(100), np.ones(100), "positive")
+    a = sample_truncated_normal(make_rng(11), np.zeros(100), np.ones(100))
+    b = sample_truncated_normal(make_rng(11), np.zeros(100), np.ones(100))
     assert np.array_equal(a, b)
 
 
 def test_truncated_normal_scalar_interface():
-    val = sample_truncated_normal(make_rng(5), 1.0, 2.0, "positive")
+    val = sample_truncated_normal(make_rng(5), 1.0, 2.0)
     assert isinstance(val, float) and val > 0.0
 
 

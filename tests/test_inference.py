@@ -12,8 +12,9 @@ from dir_sampler import (ConfigError, ModelConstants, QuantitySummary,
                          parameter_coverage, simulate_dataset, summarize)
 from dir_sampler import inference
 from dir_sampler.errors import DataError
-from dir_sampler.inference import ChainOutput, read_traces_csv, write_traces_csv, _run_chain
-from dir_sampler.model import propriety_failures
+from dir_sampler.inference import (QUANTILES, TRACE_NAMES, ChainOutput, read_traces_csv,
+                                   write_traces_csv, _run_chain)
+from dir_sampler.model import propriety_failures, split_keyed
 from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config
 
 from conftest import build_dataset, mixed_two_test_day, proper_individual, traced_peak
@@ -35,12 +36,12 @@ def small_sim(seed=0, n=2, days=4):
 # ---------------------------------------------------------------------------
 
 def test_summarize_constant_draws():
-    q = summarize(np.full((50, 3), 2.5))
+    q = summarize(np.full((3, 50), 2.5))
     assert np.all(q == 2.5)
 
 
 def test_summarize_linear_interpolation_convention():
-    draws = np.arange(1.0, 101.0)[:, None]
+    draws = np.arange(1.0, 101.0)[None, :]
     q = summarize(draws)
     assert q[1, 0] == pytest.approx(50.5)
     assert q[0, 0] == pytest.approx(3.475)  # type-7: 1 + 0.025 * 99
@@ -50,37 +51,39 @@ def test_summarize_linear_interpolation_convention():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_summarize_quantiles_ordered(values):
-    q = summarize(np.asarray(values)[:, None])
+    q = summarize(np.asarray(values)[None, :])
     assert q[0, 0] <= q[1, 0] <= q[2, 0]
 
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize(np.empty((0, 3)))
+        summarize(np.empty((3, 0)))
 
 
-def test_pooled_summaries_allocate_a_fraction_of_the_chains_draws():
-    """Pooling two chains of a two-chain cohort fit (200 draws x 2,001
-    series each) joins and partitions a block of series at a time: it
-    allocates at most a quarter of the chains' draw bytes, where joining
-    every quantity's draws and letting np.quantile copy each join takes 1.7
-    times those bytes.  The quantiles are np.quantile's over the joined
-    draws, and each quantity's list of chains is emptied once pooled."""
-    rng = np.random.default_rng(1)
-    n, n_draws = 200, 200
-    chains = [{"theta": rng.normal(size=(n_draws, 7 * n)), "drift_sd": rng.random(n_draws),
-               **{name: rng.random((n_draws, n))
-                  for name in ("growth", "day_effect_sd", "test_effect_sd")}}
-              for _ in range(2)]
-    draws = {name: [chain[name] for chain in chains] for name in chains[0]}
-    summarize(np.ones((2, 2)))  # np.quantile imports numpy.ma on its first call
-    pooled, peak = traced_peak(inference._summaries, draws)
-    assert peak <= sum(arr.nbytes for chain in chains for arr in chain.values()) / 4
-    assert all(listed == [] for listed in draws.values())
-    for name, s in pooled.items():
-        want = np.quantile(np.concatenate([chain[name] for chain in chains]),
-                           (0.025, 0.5, 0.975), axis=0)
-        assert np.array_equal(np.stack([s.q025, s.median, s.q975]), want), name
+def by_quantity(quantiles, days):
+    """name -> (series, 3) quantiles of (3, series) ``quantiles`` in the keyed layout."""
+    return dict(zip(TRACE_NAMES, split_keyed(quantiles.T, len(days))))
+
+
+def stacked(s):
+    """A QuantitySummary as (series, 3), one series for the drift sd's scalars."""
+    return np.column_stack([s.q025, s.median, s.q975])
+
+
+def test_chain_summaries_allocate_a_fraction_of_its_draws():
+    """Summarizing one chain of a cohort fit (200 draws x 2,001 series)
+    copies and partitions a block of series at a time: it allocates at most
+    a quarter of the chain's draw bytes.  The quantiles are np.quantile's
+    over each series, and the draws are left unchanged, for traces.csv is
+    written from them after the summaries."""
+    output = cohort_chain_output(np.random.default_rng(1))
+    before = output.draws.copy()
+    got, peak = traced_peak(inference._summaries, output.draws, output.days)
+    assert peak <= output.draws.nbytes / 4
+    assert output.draws.tobytes() == before.tobytes()
+    want = by_quantity(np.quantile(before, QUANTILES, axis=1), output.days)
+    for name, s in got.items():
+        assert stacked(s).tobytes() == want[name].tobytes(), name
 
 
 TIES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 1e-300])
@@ -105,16 +108,15 @@ def test_summarize_is_np_quantile_bit_for_bit(lengths, n_series, kind, seed):
         chains.append({"ties": ties, "spread": spread, "mixed": mixed,
                        "nan": np.where(rng.random((n, n_series)) < 0.01, np.nan, mixed)}[kind])
     want = np.quantile(np.concatenate(chains), (0.025, 0.5, 0.975), axis=0)
-    assert summarize(*chains).tobytes() == want.tobytes()
+    joined = np.concatenate([c.T for c in chains], axis=1)  # as pool_spills joins spills
+    assert summarize(joined).tobytes() == want.tobytes()
 
 
 def cohort_chain_output(rng, n=200, n_draws=200):
     """A chain of a two-chain cohort fit: 200 individuals x 6 days, 2,001
     series of 200 draws."""
-    draws = {"theta": rng.normal(size=(n_draws, 7 * n)), "drift_sd": rng.random(n_draws),
-             **{name: rng.random((n_draws, n))
-                for name in ("growth", "day_effect_sd", "test_effect_sd")}}
-    return ChainOutput(**draws, summaries={}, days=np.full(n, 6), n_iterations=400,
+    draws = np.concatenate([rng.normal(size=(7 * n, n_draws)), rng.random((3 * n + 1, n_draws))])
+    return ChainOutput(draws=draws, summaries={}, days=np.full(n, 6), n_iterations=400,
                        burn_in=200, thin=1, wall_time=0.0, ks_accept_rate=1.0,
                        guard_redraws=0)
 
@@ -127,20 +129,33 @@ def test_pooled_spills_allocate_a_fraction_of_their_draws(tmp_path):
     outputs = [cohort_chain_output(rng) for _ in range(2)]
     spills = [tmp_path / f"chain_{k}.spill" for k in range(2)]
     for output, spill in zip(outputs, spills):
-        inference.write_spill(output, spill)
+        output.draws.tofile(spill)
     assert sum(spill.stat().st_size for spill in spills) == 2 * 200 * 2001 * 8
     pooled, peak = traced_peak(inference.pool_spills, spills, outputs[0].days, 200)
     assert peak <= sum(spill.stat().st_size for spill in spills) / 4
+    want = by_quantity(np.quantile(np.concatenate([o.draws for o in outputs], axis=1),
+                                   QUANTILES, axis=1), outputs[0].days)
     for name, s in pooled.items():
-        want = np.quantile(np.concatenate([getattr(o, name) for o in outputs]),
-                           (0.025, 0.5, 0.975), axis=0)
-        assert np.stack([s.q025, s.median, s.q975]).tobytes() == want.tobytes(), name
+        assert stacked(s).tobytes() == want[name].tobytes(), name
+
+
+def test_one_chain_spill_pools_to_that_chains_summaries(tmp_path):
+    """pool_spills of one chain's spill file gives the chain's summaries
+    byte for byte."""
+    output = cohort_chain_output(np.random.default_rng(4), n=5, n_draws=7)
+    spill = tmp_path / "chain.spill"
+    output.draws.tofile(spill)
+    pooled = inference.pool_spills([spill], output.days, 7)
+    direct = inference._summaries(output.draws, output.days)
+    assert list(pooled) == list(direct) == list(TRACE_NAMES)
+    for name in TRACE_NAMES:
+        assert stacked(pooled[name]).tobytes() == stacked(direct[name]).tobytes(), name
 
 
 def test_a_short_spill_is_a_data_error(tmp_path):
     output = cohort_chain_output(np.random.default_rng(3), n=3, n_draws=5)
     spill = tmp_path / "chain.spill"
-    inference.write_spill(output, spill)
+    output.draws.tofile(spill)
     spill.write_bytes(spill.read_bytes()[:-8])
     with pytest.raises(DataError, match="chain.spill: ends before series"):
         inference.pool_spills([spill], output.days, 5)
@@ -229,9 +244,7 @@ def test_fit_deterministic_given_seed():
     config = SamplerConfig(n_iterations=80, burn_in=40, thin=4, seed=11)
     a = fit(data, constants, config)
     b = fit(data, constants, config)
-    assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.growth, b.growth)
-    assert np.array_equal(a.drift_sd, b.drift_sd)
+    assert np.array_equal(a.draws, b.draws)
     assert a.n_draws == (80 - 40) // 4
 
 
@@ -297,10 +310,10 @@ def test_online_freezes_only_the_individuals_whose_prefix_fails_the_gate(monkeyp
                            fixed_drift_sd=0.05)  # every sweep is a kept draw
     trajectories, _ = fit_online(data, constants, config)
 
-    day3 = chains[2]
-    for sd in (day3.test_effect_sd, day3.day_effect_sd):
-        assert np.all(sd[:, 1] == 1.0)
-        assert np.all(sd[:, 0] != 1.0)
+    _, _, day_sd, test_sd, _ = split_keyed(chains[2].draws, 2)
+    for sd in (test_sd, day_sd):
+        assert np.all(sd[1] == 1.0)
+        assert np.all(sd[0] != 1.0)
     gate = [[bool(propriety_failures(data.individual_prefix(t))[i])
              for t in range(1, 5)] for i in range(2)]
     assert gate == [[True, False, False, False], [True, True, True, False]]
@@ -326,7 +339,7 @@ def test_online_medians_stay_near_the_truth_from_day_six(seed):
 def test_online_mode_fixes_drift_precision():
     data, _, constants = small_sim(seed=9)
     out = _run_chain(data, constants, online_config())
-    assert np.allclose(out.drift_sd, 0.0612, rtol=1e-14)
+    assert np.allclose(out.draws[-1], 0.0612, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +353,16 @@ def test_trace_csv_round_trip(tmp_path):
     write_traces_csv(out, path)
     draws, days = read_traces_csv(path)
     assert np.array_equal(days, data.days)
-    for name in ("theta", "growth", "drift_sd", "day_effect_sd", "test_effect_sd"):
-        arr = getattr(out, name)
-        assert np.array_equal(np.atleast_2d(draws[name].T).T, np.atleast_2d(arr.T).T), name
+    assert draws.shape == out.draws.shape and draws.tobytes() == out.draws.tobytes()
 
 
 def test_read_traces_csv_memory_is_bounded_by_its_arrays(tmp_path):
     """A two-chain-cohort-sized trace file (200 individuals x 6 days: 2,001
     series x 200 draws) reads back within 2x the bytes of the returned draws:
     the reader keeps each row's value, not its iteration."""
-    rng = np.random.default_rng(0)
-    n, n_draws = 200, 200
-    draws = {"theta": rng.normal(size=(n_draws, 7 * n)), "drift_sd": rng.random(n_draws),
-             **{name: rng.random((n_draws, n))
-                for name in ("growth", "day_effect_sd", "test_effect_sd")}}
+    output = cohort_chain_output(np.random.default_rng(0))
     path = tmp_path / "traces.csv"
-    write_traces_csv(ChainOutput(**draws, summaries={}, days=np.full(n, 6),
-                                 n_iterations=400, burn_in=200, thin=1, wall_time=0.0,
-                                 ks_accept_rate=1.0, guard_redraws=0), path)
+    write_traces_csv(output, path)
     (back, _), peak = traced_peak(read_traces_csv, path)
-    for name, arr in draws.items():
-        assert np.array_equal(back[name], arr), name
-    assert peak <= 2 * sum(arr.nbytes for arr in back.values())
+    assert np.array_equal(back, output.draws)
+    assert peak <= 2 * back.nbytes

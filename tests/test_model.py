@@ -414,9 +414,9 @@ def set_line(n, text):
 def test_read_keyed_csv_reads_every_block(tmp_path, rows):
     """Files of exactly one and two full blocks, and one ending in a part block."""
     values = keyed_file(tmp_path / "keyed.csv", rows)
-    days, blocks, lines = read_keyed(tmp_path / "keyed.csv")
+    days, back, lines = read_keyed(tmp_path / "keyed.csv")
     assert days.tolist() == [11]
-    assert np.array_equal(np.concatenate(blocks), values)
+    assert np.array_equal(back, values)
     assert list(lines) == list(range(2, 2 + 16 * rows, rows))
 
 
@@ -435,8 +435,8 @@ def test_read_keyed_csv_skips_blank_lines_and_reads_quoted_fields(tmp_path):
                  for k, line in enumerate(lines)]
         return lines[:3] + ["", "\r\r"] + lines[3:9000] + [""] * 8192 + lines[9000:]
     keyed_file(tmp_path / "blank.csv", 1100, edit)
-    _, blocks, lines = read_keyed(tmp_path / "blank.csv")
-    assert np.array_equal(np.concatenate(blocks), values)
+    _, back, lines = read_keyed(tmp_path / "blank.csv")
+    assert np.array_equal(back, values)
     want = [line + 3 * (line > 3) + 8192 * (line > 9000) for line in range(2, 17602, 1100)]
     assert list(lines) == want
 
@@ -445,8 +445,8 @@ def test_read_keyed_csv_reads_a_last_block_of_one_line(tmp_path):
     """One blank line pushes the last row into a block of its own."""
     values = keyed_file(tmp_path / "keyed.csv", 1024)
     keyed_file(tmp_path / "blank.csv", 1024, lambda lines: lines[:3] + [""] + lines[3:])
-    _, blocks, lines = read_keyed(tmp_path / "blank.csv")
-    assert np.array_equal(np.concatenate(blocks), values)
+    _, back, lines = read_keyed(tmp_path / "blank.csv")
+    assert np.array_equal(back, values)
     assert list(lines) == [2] + list(range(1027, 16386, 1024))
 
 
