@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import NumericError
 
-Rng = np.random.Generator
-
 # Standardized truncation point beyond which the one-sided sampler switches
 # from inverse-CDF to exponential rejection.
 _TAIL_SWITCH = 4.0
@@ -36,7 +34,7 @@ _PI_SQ_8 = np.pi ** 2 / 8.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def make_rng(seed: int) -> Rng:
+def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the single source of randomness for a chain."""
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -142,7 +140,7 @@ def normal_isf(p, out=None) -> np.ndarray:
     return x.reshape(p.shape) if out is None else out
 
 
-def _sample_tail_std(rng: Rng, alpha: np.ndarray) -> np.ndarray:
+def _sample_tail_std(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
     """Draw standard normals conditioned to (alpha, inf) for alpha > 4 by
     Robert-style exponential rejection, whose acceptance rate is bounded
     away from zero there (it increases towards 1 as alpha grows)."""
@@ -160,7 +158,7 @@ def _sample_tail_std(rng: Rng, alpha: np.ndarray) -> np.ndarray:
     raise NumericError("truncated-normal tail rejection failed to accept")
 
 
-def sample_truncated_normal(rng: Rng, mean, variance, out=None):
+def sample_truncated_normal(rng: np.random.Generator, mean, variance, out=None):
     """Draw from N(mean, variance) restricted to (0, inf).
 
     ``mean`` and ``variance`` broadcast; the result has the broadcast shape
@@ -210,7 +208,7 @@ def sample_truncated_normal(rng: Rng, mean, variance, out=None):
     return float(draw[0]) if scalar else draw
 
 
-def sample_gamma(rng: Rng, shape, rate):
+def sample_gamma(rng: np.random.Generator, shape, rate):
     """Gamma(shape, rate) draw with mean shape/rate (rate parameterization)."""
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
@@ -311,7 +309,7 @@ def ks_quantile(u) -> np.ndarray:
     return x.reshape(u.shape)
 
 
-def sample_ks(rng: Rng, size=None):
+def sample_ks(rng: np.random.Generator, size=None):
     """Draw from the Kolmogorov-Smirnov law by inversion: one uniform per
     draw, mapped through ``ks_quantile``."""
     out = ks_quantile(rng.random(size))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import Rng, scipy_extension
+from .distributions import scipy_extension
 from .errors import NumericError
 
 
@@ -71,7 +71,8 @@ def filter_from_day_sums(prec_sum: np.ndarray, weighted_obs_sum: np.ndarray,
     return chol, y
 
 
-def backward_sample(rng: Rng, chol: np.ndarray, y: np.ndarray) -> np.ndarray:
+def backward_sample(rng: np.random.Generator, chol: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
     """Draw all shifted paths lam = U^-1 (y + eps) at once."""
     lam, _ = _lapack().dtbtrs(chol, y + rng.standard_normal(len(y)), overwrite_b=1)
     if not np.all(np.isfinite(lam)):

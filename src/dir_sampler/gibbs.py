@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from . import ffbs
-from .distributions import Rng, sample_gamma, sample_ks, sample_truncated_normal
+from .distributions import sample_gamma, sample_ks, sample_truncated_normal
 from .errors import ConfigError, NumericError
 from .model import Dataset, LatentState, ModelConstants, theta_offsets
 
@@ -128,7 +128,8 @@ class SweepWorkspace:
         return resid
 
 
-def update_latent_utilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_latent_utilities(rng: np.random.Generator, state: LatentState,
+                            work: SweepWorkspace) -> None:
     """Truncated-normal draw of each item's latent utility, sign-matched to
     the observed response, in one pass over all items.
 
@@ -147,7 +148,8 @@ def update_latent_utilities(rng: Rng, state: LatentState, work: SweepWorkspace) 
     state.latent_utility *= sign
 
 
-def update_abilities(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_abilities(rng: np.random.Generator, state: LatentState,
+                     work: SweepWorkspace) -> None:
     """Draw every individual's ability path at once from its joint Gaussian
     conditional: one banded Cholesky factorisation of the tridiagonal path
     precision and two triangular solves (see ``ffbs``)."""
@@ -176,7 +178,8 @@ def _growth_moments(state: LatentState, work: SweepWorkspace):
     return num, den
 
 
-def update_growth(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_growth(rng: np.random.Generator, state: LatentState,
+                  work: SweepWorkspace) -> None:
     """Positive-truncated-normal draw of each individual's growth rate."""
     num, den = _growth_moments(state, work)
     precision = state.drift_precision * den
@@ -188,7 +191,8 @@ def update_growth(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
     state.growth[:] = sample_truncated_normal(rng, mean, 1.0 / precision)
 
 
-def update_test_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_test_effects(rng: np.random.Generator, state: LatentState,
+                        work: SweepWorkspace) -> None:
     """Exact draw of every day's sum-zero test effects in one pass.
 
     Without the constraint the effects are independent, each N(v Sum(psi r),
@@ -213,7 +217,8 @@ def update_test_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> N
     eta[last] = -np.add.reduceat(eta, days)
 
 
-def _guarded_gamma(rng: Rng, work: SweepWorkspace, shape, rate_fn, redraw, what: str):
+def _guarded_gamma(rng: np.random.Generator, work: SweepWorkspace, shape, rate_fn, redraw,
+                   what: str):
     """Gamma draw with the degenerate-rate guard: a zero rate triggers one
     (counted) redraw of the offending latent block, then a hard error."""
     rate = rate_fn()
@@ -226,7 +231,7 @@ def _guarded_gamma(rng: Rng, work: SweepWorkspace, shape, rate_fn, redraw, what:
     return sample_gamma(rng, shape, rate)
 
 
-def update_test_effect_precision(rng: Rng, state: LatentState,
+def update_test_effect_precision(rng: np.random.Generator, state: LatentState,
                                  work: SweepWorkspace) -> None:
     """Gamma draw of each free individual's test-effect precision."""
     free = work.free
@@ -245,7 +250,8 @@ def update_test_effect_precision(rng: Rng, state: LatentState,
         "test-effect precision")
 
 
-def update_day_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_day_effects(rng: np.random.Generator, state: LatentState,
+                       work: SweepWorkspace) -> None:
     """Normal draw of each (individual, day) random effect."""
     per_test = work.data.difficulty - state.theta[work.test_theta]
     per_test -= state.test_effect
@@ -256,7 +262,8 @@ def update_day_effects(rng: Rng, state: LatentState, work: SweepWorkspace) -> No
     state.day_effect[:] = num / prec + noise / np.sqrt(prec)
 
 
-def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_day_effect_precision(rng: np.random.Generator, state: LatentState,
+                                work: SweepWorkspace) -> None:
     """Gamma draw of each free individual's day-effect precision."""
     free = work.free
     shape = work.data.days / 2.0 - 0.5
@@ -274,7 +281,7 @@ def update_day_effect_precision(rng: Rng, state: LatentState, work: SweepWorkspa
         "day-effect precision")
 
 
-def update_drift_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
+def update_drift_precision(rng: np.random.Generator, state: LatentState, work: SweepWorkspace,
                            mode: str = "retrospective") -> None:
     """Gamma draw of the shared system-noise precision; held fixed on-line."""
     if mode == "online":
@@ -296,7 +303,8 @@ def update_drift_precision(rng: Rng, state: LatentState, work: SweepWorkspace,
         rng, work, shape, rate, lambda: update_abilities(rng, state, work), "drift precision"))
 
 
-def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None:
+def update_ks_scales(rng: np.random.Generator, state: LatentState,
+                     work: SweepWorkspace) -> None:
     """One Metropolis-Hastings proposal per item for the mixture scales,
     proposing from the Kolmogorov-Smirnov law itself.
 
@@ -324,8 +332,8 @@ def update_ks_scales(rng: Rng, state: LatentState, work: SweepWorkspace) -> None
     work.ks_accepted += int(np.count_nonzero(accept))
 
 
-def _step(name: str, update, rng: Rng, state: LatentState, work: SweepWorkspace,
-          *extra) -> None:
+def _step(name: str, update, rng: np.random.Generator, state: LatentState,
+          work: SweepWorkspace, *extra) -> None:
     """Run one update, adding its wall seconds to ``work.update_s[name]`` and
     reporting a numeric failure with the update's name."""
     start = time.perf_counter()
@@ -339,7 +347,7 @@ def _step(name: str, update, rng: Rng, state: LatentState, work: SweepWorkspace,
         work.update_s[name] = work.update_s.get(name, 0.0) + time.perf_counter() - start
 
 
-def gibbs_sweep(rng: Rng, state: LatentState, work: SweepWorkspace,
+def gibbs_sweep(rng: np.random.Generator, state: LatentState, work: SweepWorkspace,
                 mode: str = "retrospective") -> LatentState:
     """Apply all nine updates in order, mutating and returning ``state``."""
     work.refresh_obs_precision(state)

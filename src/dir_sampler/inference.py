@@ -338,7 +338,7 @@ def read_traces_csv(path):
     draws) matrix of a ``ChainOutput``, which holds each value once.  Every
     series must list the same strictly increasing iterations
     (``read_keyed_csv`` checks them); a malformed file raises ``DataError``."""
-    days, draws, _ = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
+    days, draws = read_keyed_csv(path, TRACES_HEADER, TRACE_NAMES)
     return draws, days
 
 

@@ -223,7 +223,7 @@ def read_truth_csv(path) -> SimTruth:
     """Read back what ``write_truth_csv`` stores (realized effects come back
     empty).  Rows must follow the keyed layout, one row per series; a
     malformed file raises ``DataError`` naming it, and any faulty line."""
-    days, values, _ = read_keyed_csv(path, TRUTH_HEADER, TRUTH_NAMES)
+    days, values = read_keyed_csv(path, TRUTH_HEADER, TRUTH_NAMES)
     if values.shape[1] != 1:
         raise DataError(f"{path}: {values.shape[1]} rows per series, expected 1")
     theta, growth, day_precision, test_precision, drift = split_keyed(values[:, 0], len(days))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dir_sampler
 from dir_sampler import cli, inference, write_dataset_csv
 from dir_sampler.model import split_keyed
 
@@ -154,12 +155,15 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("online", *SHORT_FIT, "--drift-sd", 0.05), {"sigma": 1e200}, "sigma"),
     (("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e308},
      "difficulty_halfwidth"),
+    (("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1e-320]}}, "group 'g'"),
+    (("fit", *SHORT_FIT), {"group_prior": {"g": [1e300, 1e-10]}}, "group 'g'"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
     """A config or seed value of the wrong type or sign, an infinite one
     (JSON 1e400), a drift sd whose precision 1/sd^2 is 0 or infinite, a
-    sigma whose square or a difficulty halfwidth whose double overflows, or a
+    group prior whose precision 1/v or mean/v overflows, a sigma whose
+    square or a difficulty halfwidth whose double overflows, or a
     drift sd outside on-line mode, where the chain would learn it instead,
     ends in exit 3 with a message naming it: no traceback, no silent
     truncation to an integer, and no value recorded but unused."""
@@ -436,7 +440,9 @@ def src_env() -> dict:
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
-WATCHED_MODULES = ("scipy", "scipy.special", "numpy.ma", "concurrent.futures.process")
+WATCHED_MODULES = ("scipy", "scipy.special", "numpy.ma", "concurrent.futures.process",
+                   "numpy.random", "_hashlib", "dir_sampler.gibbs", "dir_sampler.inference",
+                   "dir_sampler.simgen")
 
 
 def run_stage_in_subprocess(*argv) -> tuple[int, dict]:
@@ -456,7 +462,11 @@ def test_no_stage_loads_scipy_special(tmp_path):
     modules and inverts the normal in numpy, so no stage, sampling or not,
     imports the ``scipy`` package or ``scipy.special``.  Summaries take
     their quantiles without np.quantile, so no stage imports ``numpy.ma``.
-    Only a fit of several chains imports the process pool."""
+    Only a fit of several chains imports the process pool.  Each stage
+    imports only what it runs: only the stages that draw import
+    ``numpy.random``, validate checksums nothing and so loads no OpenSSL
+    (``_hashlib``), neither validate nor simulate loads the sampler, and
+    only simulate and summarize load the simulator."""
     (tmp_path / "cfg.json").write_text(json.dumps({"days": 20, "items_per_test": 2}))
     data, fit = tmp_path / "data", tmp_path / "fit"
     short = ("--iterations", 4, "--burn-in", 2, "--thin", 1)
@@ -473,7 +483,21 @@ def test_no_stage_loads_scipy_special(tmp_path):
         code, loaded = run_stage_in_subprocess(*argv)
         assert code == 0, stage
         assert loaded == {"scipy": False, "scipy.special": False, "numpy.ma": False,
-                          "concurrent.futures.process": stage == "fit --chains 2"}, stage
+                          "concurrent.futures.process": stage == "fit --chains 2",
+                          "numpy.random": stage in ("simulate", "fit", "fit --chains 2",
+                                                    "online"),
+                          "_hashlib": stage != "validate",
+                          "dir_sampler.gibbs": stage not in ("validate", "simulate"),
+                          "dir_sampler.inference": stage not in ("validate", "simulate"),
+                          "dir_sampler.simgen": stage in ("simulate", "summarize")}, stage
+
+
+def test_every_name_in_all_resolves():
+    """The package re-exports its names lazily; each one resolves."""
+    for name in dir_sampler.__all__:
+        getattr(dir_sampler, name)
+    with pytest.raises(AttributeError):
+        dir_sampler.no_such_name
 
 
 def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from dir_sampler import (ConfigError, DataError, Dataset, ModelConstants,
                          SamplerConfig, initial_state, read_dataset_csv,
                          simulate_dataset, validate_dataset, write_dataset_csv)
-from dir_sampler.model import (CLAUSE_DAYS, CLAUSE_MIXED, CLAUSE_MULTITEST_DAYS,
-                               CLAUSE_N, CLAUSE_TEST_SHAPE, keyed_layout, read_keyed_csv,
-                               write_keyed_csv)
+from dir_sampler.model import (_BLOCK_ROWS, CLAUSE_DAYS, CLAUSE_MIXED,
+                               CLAUSE_MULTITEST_DAYS, CLAUSE_N, CLAUSE_TEST_SHAPE,
+                               keyed_layout, read_keyed_csv, write_keyed_csv)
 from dir_sampler.simgen import SimConfig, paper_default_config
 
 from conftest import build_dataset, proper_individual, traced_peak
@@ -371,18 +371,19 @@ def test_read_dataset_csv_memory_is_bounded_by_its_columns(tmp_path):
     write_dataset_csv(data, tmp_path)
     columns = 8 * (6 * data.n_items + 3 * data.n_days + data.n_individuals)
 
-    def one_block():  # the reader parses 8192 rows at a time
+    def one_block():  # the reader parses _BLOCK_ROWS rows at a time
         with (tmp_path / "responses.csv").open(newline="") as fh:
-            return list(enumerate(islice(csv.reader(fh), 8192)))
+            return list(enumerate(islice(csv.reader(fh), _BLOCK_ROWS)))
     _, block = traced_peak(one_block)
     back, peak = traced_peak(read_dataset_csv, tmp_path)
     assert np.array_equal(back.response, data.response)
     assert peak <= 3 * columns + block
 
 
-# The keyed reader parses 8,192 lines at a time.  One individual with 11
-# days makes 16 series; at 1,100 rows a series, the file's data lines 2 to
-# 17,601 span three blocks, and line 17,000 lies in the third.
+# The keyed reader parses _BLOCK_ROWS lines at a time, the first block from
+# line 2.  One individual with 11 days makes 16 series; at 1,100 rows a
+# series, the file's data lines 2 to 17,601 span several blocks, and line
+# 17,000 lies in the last.
 KEYED_HEADER = ("quantity", "individual", "day", "iteration", "value")
 KEYED_NAMES = ("theta", "growth", "day_effect_precision", "test_effect_precision",
                "drift_precision")
@@ -409,55 +410,92 @@ def set_line(n, text):
     return lambda lines: lines[:n - 1] + [text] + lines[n:]
 
 
-@pytest.mark.parametrize("rows", [512, 1024, 1100],
+def series_start_lines(path, rows, edit=lambda lines: lines):
+    """The line that DataError names for the first row of each of the 16
+    series of a keyed file of ``rows`` rows a series, written with ``edit``
+    after that row's key is put out of layout order."""
+    named = []
+    for k in range(16):
+        def out_of_order(lines, n=2 + k * rows):
+            return edit(set_line(n, "theta,1,99," + lines[n - 1].split(",", 3)[3])(lines))
+        keyed_file(path, rows, out_of_order)
+        with pytest.raises(DataError) as err:
+            read_keyed(path)
+        named.append(int(re.search(r"line (\d+): theta individual 1 day 99 is out of "
+                                   "layout order", str(err.value))[1]))
+    return named
+
+
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS // 16, _BLOCK_ROWS // 8, 5 * _BLOCK_ROWS // 32],
                          ids=["one-block", "two-full-blocks", "three-blocks"])
 def test_read_keyed_csv_reads_every_block(tmp_path, rows):
-    """Files of exactly one and two full blocks, and one ending in a part block."""
+    """Files of exactly one and two full blocks, and one ending in half a
+    block; each series' first line stays true."""
     values = keyed_file(tmp_path / "keyed.csv", rows)
-    days, back, lines = read_keyed(tmp_path / "keyed.csv")
+    days, back = read_keyed(tmp_path / "keyed.csv")
     assert days.tolist() == [11]
     assert np.array_equal(back, values)
-    assert list(lines) == list(range(2, 2 + 16 * rows, rows))
+    assert series_start_lines(tmp_path / "bad.csv", rows) == list(range(2, 2 + 16 * rows,
+                                                                        rows))
 
 
 def quote_every_field(line):
     return ",".join(f'"{field}"' for field in line.split(","))
 
 
+# blank_lines' whole block of blank lines is lines BLANK_AT + 4 to
+# BLANK_AT + 3 + _BLOCK_ROWS of its file: the second block.
+BLANK_AT = _BLOCK_ROWS - 2
+
+
+def blank_lines(lines):
+    """Quote every field of every 7th line, and insert blank lines (LF, CR,
+    CR LF, then a whole block of LF): line n > 3 moves to n + 3, and n >
+    BLANK_AT to n + 3 + _BLOCK_ROWS."""
+    lines = [quote_every_field(line) if k % 7 == 0 else line for k, line in enumerate(lines)]
+    # "\r\r" writes a blank CR line, then a blank CR LF line
+    return (lines[:3] + ["", "\r\r"] + lines[3:BLANK_AT] + [""] * _BLOCK_ROWS
+            + lines[BLANK_AT:])
+
+
 def test_read_keyed_csv_skips_blank_lines_and_reads_quoted_fields(tmp_path):
     """Blank lines (LF, CR LF and CR), a whole block of them included, are
     skipped, and quoted fields are read, as the csv module reads them;
     series lines stay true."""
-    values = keyed_file(tmp_path / "keyed.csv", 1100)
-
-    def edit(lines):  # "\r\r" writes a blank CR line, then a blank CR LF line
-        lines = [quote_every_field(line) if k % 7 == 0 else line
-                 for k, line in enumerate(lines)]
-        return lines[:3] + ["", "\r\r"] + lines[3:9000] + [""] * 8192 + lines[9000:]
-    keyed_file(tmp_path / "blank.csv", 1100, edit)
-    _, back, lines = read_keyed(tmp_path / "blank.csv")
+    rows = 5 * _BLOCK_ROWS // 32
+    values = keyed_file(tmp_path / "keyed.csv", rows)
+    keyed_file(tmp_path / "blank.csv", rows, blank_lines)
+    _, back = read_keyed(tmp_path / "blank.csv")
     assert np.array_equal(back, values)
-    want = [line + 3 * (line > 3) + 8192 * (line > 9000) for line in range(2, 17602, 1100)]
-    assert list(lines) == want
+    want = [line + 3 * (line > 3) + _BLOCK_ROWS * (line > BLANK_AT)
+            for line in range(2, 2 + 16 * rows, rows)]
+    assert series_start_lines(tmp_path / "bad.csv", rows, blank_lines) == want
 
 
 def test_read_keyed_csv_reads_a_last_block_of_one_line(tmp_path):
-    """One blank line pushes the last row into a block of its own."""
-    values = keyed_file(tmp_path / "keyed.csv", 1024)
-    keyed_file(tmp_path / "blank.csv", 1024, lambda lines: lines[:3] + [""] + lines[3:])
-    _, back, lines = read_keyed(tmp_path / "blank.csv")
+    """One blank line pushes the last row of two full blocks into a block
+    of its own."""
+    rows = _BLOCK_ROWS // 8
+
+    def blank(lines):
+        return lines[:3] + [""] + lines[3:]
+    values = keyed_file(tmp_path / "keyed.csv", rows)
+    keyed_file(tmp_path / "blank.csv", rows, blank)
+    _, back = read_keyed(tmp_path / "blank.csv")
     assert np.array_equal(back, values)
-    assert list(lines) == [2] + list(range(1027, 16386, 1024))
+    assert series_start_lines(tmp_path / "bad.csv", rows, blank) == (
+        [2] + list(range(3 + rows, 3 + 16 * rows, rows)))
 
 
 @pytest.mark.parametrize("edit, message", [
     (set_line(17000, "theta,1,11,x,0.5"),
      "line 17000: iteration 'x' is not a number"),
     (set_line(17000, "theta,1,11"), "line 17000: expected 5 fields, got 3"),
-    (set_line(8193, "theta,1,7,1,2,3"), "line 8193: expected 5 fields, got 6"),
+    (set_line(_BLOCK_ROWS + 1, "theta,1,1,1,2,3"),
+     f"line {_BLOCK_ROWS + 1}: expected 5 fields, got 6"),
     (set_line(2, "theta,1,0,0.5,y"), "line 2: value 'y' is not a number"),
-    (lambda ls: ls[:10] + [""] * 9000 + set_line(17000, "theta,1,11,x,0.5")(ls)[10:],
-     "line 26000: iteration 'x' is not a number"),
+    (lambda ls: ls[:10] + [""] * _BLOCK_ROWS + set_line(17000, "theta,1,11,x,0.5")(ls)[10:],
+     f"line {17000 + _BLOCK_ROWS}: iteration 'x' is not a number"),
     (lambda ls: ls[:10] + ["", ""] + set_line(12000, "theta,1,9,1,2")(ls)[10:],
      "line 12002: theta individual 1 day 9 is out of layout order, "
      "expected theta individual 1 day 11"),
@@ -483,19 +521,23 @@ def test_read_keyed_csv_names_the_line_at_fault(tmp_path, edit, message):
         read_keyed(tmp_path / "keyed.csv")
 
 
+LONG = _BLOCK_ROWS + 8  # rows a series: the first series ends in the second block
+
+
 @pytest.mark.parametrize("rows, line, iteration, message", [
     (1100, 17000, "500", "line 16502: series iterations differ from those of the first series"),
-    (9000, 9001, "9000.5", "line 9002: series iterations differ from those of the first series"),
-    (9000, 9001, "8999", "line 2: iterations are not strictly increasing"),
+    (LONG, LONG + 1, f"{LONG + 0.5}",
+     f"line {LONG + 2}: series iterations differ from those of the first series"),
+    (LONG, LONG + 1, f"{LONG - 1}", "line 2: iterations are not strictly increasing"),
 ], ids=["later-series-in-a-later-block", "first-series-across-blocks",
         "first-series-decreasing-in-a-later-block"])
 def test_read_keyed_csv_checks_iterations_against_the_first_series(tmp_path, rows, line,
                                                                     iteration, message):
     """The reader keeps only values, but checks every row's iteration
     against the first series' iteration at the same place, block by block:
-    line 17,000 is row 499 of the last series, in the third block; with
-    9,000 rows a series, line 9,001 is row 9,000 of the first series, in
-    the second block."""
+    line 17,000 is row 499 of the last series, in the last block; with LONG
+    rows a series, line LONG + 1 is the first series' last row, in the
+    second block."""
     def edit(lines):
         parts = lines[line - 1].split(",")
         parts[3] = iteration
@@ -510,12 +552,8 @@ def test_read_keyed_csv_checks_iterations_against_the_first_series(tmp_path, row
 # ---------------------------------------------------------------------------
 
 def blocky_responses(path, edit=lambda lines: lines):
-    """Apply ``edit`` to responses.csv's text lines, quote every field of
-    every 7th line, and insert blank lines (LF, CR, CR LF, then a whole
-    block of LF): line n > 3 moves to n + 3, and n > 9,000 to n + 8,195."""
-    lines = edit(path.read_text().splitlines())
-    lines = [quote_every_field(line) if k % 7 == 0 else line for k, line in enumerate(lines)]
-    lines = lines[:3] + ["", "\r\r"] + lines[3:9000] + [""] * 8192 + lines[9000:]
+    """Apply ``edit``, then ``blank_lines``, to responses.csv's text lines."""
+    lines = blank_lines(edit(path.read_text().splitlines()))
     path.write_text("".join(line + "\n" for line in lines))
 
 
@@ -540,7 +578,7 @@ def test_read_dataset_csv_names_the_true_line_past_the_first_block(tmp_path):
         return set_line(12000, ",".join(fields))(lines)
     blocky_responses(tmp_path / "responses.csv", bad_response)
     with pytest.raises(DataError, match=re.escape(
-            "responses.csv line 20195: response 'x' is not an integer")):
+            f"responses.csv line {12000 + 3 + _BLOCK_ROWS}: response 'x' is not an integer")):
         read_dataset_csv(tmp_path)
 
 
