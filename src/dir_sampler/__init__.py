@@ -16,8 +16,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "DataError", "DirSamplerError", "NumericError",
                "ValidationError"),
     "gibbs": ("SweepWorkspace", "gibbs_sweep"),
-    "inference": ("ChainOutput", "CoverageResult", "OnlineTrajectory", "QuantitySummary",
-                  "ability_coverage", "fit", "fit_online", "parameter_coverage", "summarize"),
+    "inference": ("ChainOutput", "CoverageResult", "OnlineTrajectory", "ability_coverage",
+                  "fit", "fit_online", "parameter_coverage", "summarize"),
     "model": ("Dataset", "LatentState", "ModelConstants", "SamplerConfig",
               "ValidationReport", "initial_state", "read_dataset_csv", "theta_offsets",
               "validate_dataset", "write_dataset_csv"),

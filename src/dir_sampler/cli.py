@@ -18,6 +18,9 @@ the main process pools the spills a block of series at a time
 (``inference.pool_spills``), so it never holds a chain's draws, and deletes
 them whether or not the fit succeeds.
 A one-chain fit writes no spill.
+Every summary, of one chain or pooled, is a (3, series) quantile matrix
+in the draws' keyed layout; summary.csv and summarize's coverage scores
+(joint, then per parameter quantity) are taken from it.
 Each command imports only what it runs, inside its function: validate
 loads just this module, ``model`` and ``errors``; simulate adds ``simgen``;
 fit and online add ``inference`` and the sampler under it; summarize adds
@@ -46,7 +49,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DataError, DirSamplerError, ValidationError
 from .model import (Dataset, ModelConstants, SamplerConfig, read_dataset_csv,
-                    validate_dataset, write_dataset_csv,
+                    split_keyed, validate_dataset, write_dataset_csv,
                     GROUPS_FILE, LAPSES_FILE, RESPONSES_FILE)
 
 # Fallback constants for fits without a config file: the reading-testbed
@@ -210,7 +213,7 @@ def _fit_one_chain(packed):
     if spill is not None:
         output.draws.tofile(spill)
     inference.write_traces_csv(output, chain_dir / inference.TRACES_FILE)
-    inference.write_summary_csv(output.summaries, output.days,
+    inference.write_summary_csv(output.quantiles, output.days,
                                 chain_dir / inference.SUMMARY_FILE)
     return inference.chain_report(output), output.days, output.n_draws
 
@@ -347,11 +350,11 @@ def cmd_summarize(args) -> int:
     out_dir = Path(args.output) if args.output else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     draws, days = inference.read_traces_csv(traces)
-    summaries = inference._summaries(draws, days)
+    quantiles = inference._summaries(draws)
 
     sp = out_dir / inference.SUMMARY_FILE
-    inference.write_summary_csv(summaries, days, sp)
-    print(f"recomputed quantiles for {len(summaries['theta'].median)} ability points -> {sp}")
+    inference.write_summary_csv(quantiles, days, sp)
+    print(f"recomputed quantiles for {int(np.sum(days + 1))} ability points -> {sp}")
 
     truth_path = _fit_truth(in_dir)
     if truth_path is not None:
@@ -360,13 +363,15 @@ def cmd_summarize(args) -> int:
         if not np.array_equal(truth_days, days):
             raise DataError(f"{truth_path}: theta days per individual "
                             f"{truth_days.tolist()} do not match {traces}: {days.tolist()}")
-        cov = inference.ability_coverage(summaries["theta"], truth.theta, days)
-        param = inference.parameter_coverage(summaries, truth)
+        cov = inference.ability_coverage(quantiles, truth.theta, days)
+        hits = inference.parameter_coverage(quantiles, truth)
         print("ability coverage (95% interval vs truth):")
         for i, frac in enumerate(cov.per_individual):
             print(f"  individual {i + 1}: {100 * frac:.1f}%")
         print(f"  overall: {100 * cov.overall:.1f}%")
-        print(f"parameter coverage: {100 * param:.2f}%")
+        print(f"parameter coverage: {100 * np.mean(hits):.2f}%")
+        for name, hit in zip(inference.TRACE_NAMES[1:], split_keyed(hits, len(days))[1:]):
+            print(f"  {name}: {100 * np.mean(hit):.2f}%")
         with (out_dir / "coverage.csv").open("w") as fh:
             fh.write("individual,coverage\n")
             for i, frac in enumerate(cov.per_individual):

@@ -161,10 +161,9 @@ def _sample_tail_std(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
 def sample_truncated_normal(rng: np.random.Generator, mean, variance, out=None):
     """Draw from N(mean, variance) restricted to (0, inf).
 
-    ``mean`` and ``variance`` broadcast; the result has the broadcast shape
-    (a scalar for scalar inputs).  ``out``, a float64 array of the
-    broadcast shape that overlaps neither input, receives the draws when
-    given.
+    ``mean`` and ``variance`` are arrays that broadcast; the result has
+    their broadcast shape.  ``out``, a float64 array of that shape that
+    overlaps neither input, receives the draws when given.
 
     Every element takes one uniform, in element order, through the inverse
     CDF on the survival scale, computed in place in the result and one
@@ -177,10 +176,7 @@ def sample_truncated_normal(rng: np.random.Generator, mean, variance, out=None):
         raise ValueError("variance must be finite and > 0")
     if not np.all(np.isfinite(mean)):
         raise ValueError("mean must be finite")
-    mean, variance = np.broadcast_arrays(mean, variance)
-    scalar = mean.ndim == 0
-    loc = np.atleast_1d(mean)
-    variance = np.atleast_1d(variance)
+    loc, variance = np.broadcast_arrays(mean, variance)
     draw = np.empty(loc.shape) if out is None else out
     z = np.empty(loc.shape)
 
@@ -205,7 +201,7 @@ def sample_truncated_normal(rng: np.random.Generator, mean, variance, out=None):
     # keep draws inside the open support even when rounding collapses
     # mean + sd*z to exactly zero
     np.maximum(draw, _TINY, out=draw)
-    return float(draw[0]) if scalar else draw
+    return draw
 
 
 def sample_gamma(rng: np.random.Generator, shape, rate):
@@ -216,8 +212,7 @@ def sample_gamma(rng: np.random.Generator, shape, rate):
         raise ValueError("gamma shape must be finite and > 0")
     if np.any(rate <= 0.0) or not np.all(np.isfinite(rate)):
         raise ValueError("gamma rate must be finite and > 0")
-    out = rng.gamma(shape, 1.0 / rate)
-    return float(out) if np.ndim(out) == 0 else out
+    return rng.gamma(shape, 1.0 / rate)
 
 
 def _ks_lower_quantile(u: np.ndarray) -> np.ndarray:
@@ -309,8 +304,7 @@ def ks_quantile(u) -> np.ndarray:
     return x.reshape(u.shape)
 
 
-def sample_ks(rng: np.random.Generator, size=None):
-    """Draw from the Kolmogorov-Smirnov law by inversion: one uniform per
-    draw, mapped through ``ks_quantile``."""
-    out = ks_quantile(rng.random(size))
-    return float(out) if np.ndim(out) == 0 else out
+def sample_ks(rng: np.random.Generator, size) -> np.ndarray:
+    """Draw an array of ``size`` from the Kolmogorov-Smirnov law by
+    inversion: one uniform per draw, mapped through ``ks_quantile``."""
+    return ks_quantile(rng.random(size))

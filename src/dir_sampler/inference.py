@@ -6,9 +6,11 @@ precision held fixed, the way real-time estimation must.  Every chain starts
 cold and runs the configured burn-in.  A chain's thinned post-burn-in draws
 are one (series, draws) matrix whose rows follow the keyed layout of
 ``TRACE_NAMES``, the row order of traces.csv, summary.csv and the spill
-file of ``fit --chains k``.  Summaries are empirical quantiles of those
-draws, taken by one block-quantile kernel (``_block_quantiles``) whether
-they are of one chain's matrix or of several chains' spill files.
+file of ``fit --chains k``.  A summary is the (3, series) matrix of the
+(2.5%, 50%, 97.5%) quantiles of those draws, in the same layout, from one
+block-quantile kernel (``_block_quantiles``) whether of one chain's matrix
+or of several chains' spill files; summary.csv, the coverage scores and
+the on-line endpoints all read that matrix.
 """
 
 from __future__ import annotations
@@ -35,17 +37,10 @@ SUMMARY_BLOCK_BYTES = 512 * 1024
 SPILL_FILE = "draws.spill"
 
 
-@dataclass(frozen=True)
-class QuantitySummary:
-    q025: np.ndarray
-    median: np.ndarray
-    q975: np.ndarray
-
-
 @dataclass
 class ChainOutput:
-    """Thinned draws plus (2.5%, 50%, 97.5%) summaries for every unknown
-    reported on the scale the study uses: sds, not precisions.
+    """Thinned draws and their (3, series) matrix of (2.5%, 50%, 97.5%)
+    quantiles for every unknown, on the scale the study uses: sds, not precisions.
 
     ``draws`` is one C-contiguous float64 matrix of shape (series, draws).
     Its rows are the series of the keyed layout of ``TRACE_NAMES`` in file
@@ -56,7 +51,7 @@ class ChainOutput:
     the transpose of a draws-major array, several times slower."""
 
     draws: np.ndarray           # (series, draws)
-    summaries: dict             # name -> QuantitySummary
+    quantiles: np.ndarray       # (3, series): summarize(draws)
     days: np.ndarray
     n_iterations: int
     burn_in: int
@@ -128,19 +123,8 @@ def summarize(draws: np.ndarray) -> np.ndarray:
     return _pooled_quantiles(len(draws), draws.shape[1], fill)
 
 
-def _by_quantity(quantiles: np.ndarray, days: np.ndarray) -> dict:
-    """name -> QuantitySummary of (3, series) quantiles of the series of the
-    keyed layout; the drift sd's three quantiles are scalars."""
-    parts = split_keyed(quantiles.T, len(days))
-    parts[-1] = parts[-1][0]
-    return {name: QuantitySummary(*q.T) for name, q in zip(TRACE_NAMES, parts)}
-
-
-def _summaries(draws: np.ndarray, days: np.ndarray) -> dict:
-    """name -> QuantitySummary of each quantity of one chain's (series,
-    draws) matrix in the keyed layout of individuals with ``days`` test
-    days each."""
-    return _by_quantity(summarize(draws), days)
+# the name under which the benchmark's tracer times a chain's summary
+_summaries = summarize
 
 
 def _stream_seed(*key) -> np.random.SeedSequence:
@@ -182,7 +166,7 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
             drift_sd[:, k] = state.drift_precision ** -0.5
             k += 1
     return ChainOutput(
-        draws=draws, summaries=_summaries(draws, data.days), days=data.days.copy(),
+        draws=draws, quantiles=_summaries(draws), days=data.days.copy(),
         n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
         wall_time=time.perf_counter() - start,
         ks_accept_rate=work.ks_accepted / work.ks_proposals,
@@ -207,36 +191,36 @@ class CoverageResult:
     overall: float
 
 
-def ability_coverage(summary: QuantitySummary, truth_theta: np.ndarray,
+def ability_coverage(quantiles: np.ndarray, truth_theta: np.ndarray,
                      days: np.ndarray) -> CoverageResult:
     """Fraction of (individual, day) points whose true ability lies in the
-    95% interval; day 0 (the prior-anchored initial ability) is not scored."""
+    95% interval of (3, series) ``quantiles``; day 0 (the prior-anchored
+    initial ability) is not scored."""
     truth_theta = np.asarray(truth_theta, dtype=float)
-    if len(summary.median) != len(truth_theta) or len(truth_theta) != int(np.sum(days + 1)):
+    if (len(truth_theta) != int(np.sum(days + 1))
+            or quantiles.shape[1] != len(truth_theta) + 3 * len(days) + 1):
         raise ValueError("summary and truth are not index-aligned")
     starts = _offsets(np.asarray(days) + 1)[:-1]
-    hit = (summary.q025 <= truth_theta) & (truth_theta <= summary.q975)
+    lo, hi = quantiles[[0, 2], :len(truth_theta)]
+    hit = (lo <= truth_theta) & (truth_theta <= hi)
     hit[starts] = False
     hits = np.add.reduceat(hit, starts, dtype=np.int64)
     return CoverageResult(per_individual=hits / days,
                           overall=float(hits.sum() / np.sum(days)))
 
 
-def parameter_coverage(summaries: dict, truth) -> float:
-    """Joint 95%-interval coverage over every growth rate, both random-effect
-    sds, and the drift sd (one value per quantity, pooled)."""
-    checks = []
-    pairs = (("growth", truth.growth),
-             ("test_effect_sd", truth.test_effect_precision ** -0.5),
-             ("day_effect_sd", truth.day_effect_precision ** -0.5),
-             ("drift_sd", np.atleast_1d(truth.drift_precision ** -0.5)))
-    for name, true_vals in pairs:
-        s = summaries[name]
-        lo, hi = np.atleast_1d(s.q025), np.atleast_1d(s.q975)
-        if len(lo) != len(true_vals):
-            raise ValueError(f"{name}: summary and truth are not index-aligned")
-        checks.extend(((lo <= true_vals) & (true_vals <= hi)).tolist())
-    return float(np.mean(checks))
+def parameter_coverage(quantiles: np.ndarray, truth) -> np.ndarray:
+    """Whether each growth rate, day and test effect sd, and the drift sd
+    lies in its 95% interval: a bool vector over the last 3n + 1 series of
+    the keyed layout, which ``quantiles`` must hold for ``truth``'s n
+    individuals.  Its mean is the joint parameter coverage."""
+    if quantiles.shape[1] != len(truth.theta) + 3 * len(truth.growth) + 1:
+        raise ValueError("summary and truth are not index-aligned")
+    true_vals = np.concatenate([truth.growth, truth.day_effect_precision ** -0.5,
+                                truth.test_effect_precision ** -0.5,
+                                [truth.drift_precision ** -0.5]])
+    lo, hi = quantiles[[0, 2], -len(true_vals):]
+    return (lo <= true_vals) & (true_vals <= hi)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +265,8 @@ def fit_online(data: Dataset, constants: ModelConstants, config: SamplerConfig) 
         output = _run_chain(sub, constants, config, _stream_seed(config.seed, t), frozen)
         live = data.days >= t  # individuals whose day t exists
         endpoint = theta_offsets(sub)[:-1][live] + t
-        theta = output.summaries["theta"]
-        median[live, t - 1] = theta.median[endpoint]
-        q025[live, t - 1] = theta.q025[endpoint]
-        q975[live, t - 1] = theta.q975[endpoint]
+        q025[live, t - 1], median[live, t - 1], q975[live, t - 1] = (
+            output.quantiles[:, endpoint])
         flagged[live, t - 1] = frozen[live]
         refits.append({"day": t, **chain_report(output)})
     trajectories = [OnlineTrajectory(individual=i, median=median[i, :t_i], q025=q025[i, :t_i],
@@ -313,12 +295,11 @@ def write_traces_csv(output: ChainOutput, path) -> None:
                     (np.column_stack([iterations, row]) for row in output.draws))
 
 
-def write_summary_csv(summaries: dict, days: np.ndarray, path) -> None:
+def write_summary_csv(quantiles: np.ndarray, days: np.ndarray, path) -> None:
     """One row of (2.5%, 50%, 97.5%) quantiles per scalar of individuals with
-    ``days`` test days each, in the keyed layout of ``model.keyed_layout``."""
-    write_keyed_csv(path, SUMMARY_HEADER, TRACE_NAMES, days, np.column_stack([
-        np.concatenate([np.atleast_1d(getattr(summaries[name], q)) for name in TRACE_NAMES])
-        for q in ("q025", "median", "q975")]))
+    ``days`` test days each: a column of (3, series) ``quantiles``, in the
+    keyed layout of ``model.keyed_layout``."""
+    write_keyed_csv(path, SUMMARY_HEADER, TRACE_NAMES, days, quantiles.T)
 
 
 def write_online_csv(trajectories, path) -> None:
@@ -342,8 +323,8 @@ def read_traces_csv(path):
     return draws, days
 
 
-def pool_spills(paths, days: np.ndarray, n_draws: int) -> dict:
-    """name -> QuantitySummary of the draws of several chains, pooled from
+def pool_spills(paths, days: np.ndarray, n_draws: int) -> np.ndarray:
+    """The (3, series) quantiles of the draws of several chains, pooled from
     their spill files, each a chain's ``draws`` matrix as raw float64
     (``n_draws`` draws a series).  Each block of series is read from every
     file into a chain-sized buffer and copied into the kernel's buffer, so
@@ -358,6 +339,5 @@ def pool_spills(paths, days: np.ndarray, n_draws: int) -> dict:
                 if fh.readinto(chunk) != chunk.nbytes:
                     raise DataError(f"{fh.name}: ends before series {start + len(block)}")
                 block[:, k * n_draws:(k + 1) * n_draws] = chunk
-        pooled = _pooled_quantiles(len(keyed_layout(days, TRACE_NAMES)),
-                                   len(files) * n_draws, fill)
-    return _by_quantity(pooled, days)
+        return _pooled_quantiles(len(keyed_layout(days, TRACE_NAMES)),
+                                 len(files) * n_draws, fill)

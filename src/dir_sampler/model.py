@@ -242,10 +242,17 @@ class ModelConstants:
             float(self.sigma) ** 2  # a term of every observation precision
         except OverflowError:
             raise ConfigError(f"sigma {self.sigma} is too large: its square overflows") from None
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ConfigError("rho must be finite and > 0")
-        if not (self.delta_tmax > 0.0 and math.isfinite(self.delta_tmax)):
-            raise ConfigError("delta_tmax must be finite and > 0")
+        # 1/rho shifts every path, and the growth precision scales as
+        # delta_tmax**2: like a group prior's 1/v, both inverses must be finite
+        for name, power in (("rho", 1), ("delta_tmax", 2)):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and > 0")
+            try:
+                float(value) ** -power
+            except OverflowError:
+                raise ConfigError(f"{name} {value} is too small: "
+                                  f"{name}**-{power} overflows") from None
         for label, (mu, v) in self.group_prior.items():
             mu, v = float(mu), float(v)
             if not (v > 0.0 and math.isfinite(v) and math.isfinite(mu)):

@@ -157,12 +157,16 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
      "difficulty_halfwidth"),
     (("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1e-320]}}, "group 'g'"),
     (("fit", *SHORT_FIT), {"group_prior": {"g": [1e300, 1e-10]}}, "group 'g'"),
+    (("fit", *SHORT_FIT), {"rho": 1e-320}, "rho"),
+    (("fit", *SHORT_FIT), {"rho": 1e-310}, "rho"),
+    (("fit", *SHORT_FIT), {"delta_tmax": 1e-320}, "delta_tmax"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
     """A config or seed value of the wrong type or sign, an infinite one
     (JSON 1e400), a drift sd whose precision 1/sd^2 is 0 or infinite, a
-    group prior whose precision 1/v or mean/v overflows, a sigma whose
+    group prior whose precision 1/v or mean/v overflows, a rho whose 1/rho
+    or a delta_tmax whose 1/delta_tmax^2 overflows, a sigma whose
     square or a difficulty halfwidth whose double overflows, or a
     drift sd outside on-line mode, where the chain would learn it instead,
     ends in exit 3 with a message naming it: no traceback, no silent
@@ -257,6 +261,30 @@ def test_summarize_scores_coverage_with_truth(fit_dir, capsys):
     code, _ = run(capsys, "summarize", fit_dir)
     assert code == 0
     assert (fit_dir / "coverage.csv").read_text().startswith("individual,coverage\n")
+
+
+def test_summarize_prints_the_coverage_of_each_parameter_quantity(tmp_path, capsys):
+    """Under the joint parameter coverage, summarize prints the share of each
+    parameter quantity's series whose 95% interval holds the truth.  With
+    constant draws each interval is one point: the truth, or a miss."""
+    theta = np.tile([0.0, 0.1, 0.2, 0.3], 2)  # truth_lines' abilities
+    # growth 1.5 and 2 (a miss), both day sds and the drift sd at the truth,
+    # both test sds at 1 (misses)
+    params = [1.5, 2.0, 1.5 ** -0.5, 1.5 ** -0.5, 1.0, 1.0, 400.0 ** -0.5]
+    draws = np.repeat(np.concatenate([theta, params])[:, None], 4, axis=1)
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    inference.write_traces_csv(inference.ChainOutput(
+        draws=draws, quantiles=inference.summarize(draws), days=np.array([3, 3]),
+        n_iterations=4, burn_in=0, thin=1, wall_time=0.0, ks_accept_rate=1.0,
+        guard_redraws=0), fit / "traces.csv")
+    (fit / "truth.csv").write_text("\n".join(truth_lines()) + "\n")
+    assert cli.main(["summarize", str(fit)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "  overall: 100.0%" in out
+    at = out.index("parameter coverage: 57.14%")  # 4 of 7
+    assert out[at + 1:] == ["  growth: 50.00%", "  day_effect_sd: 100.00%",
+                            "  test_effect_sd: 0.00%", "  drift_sd: 100.00%"]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -539,10 +567,7 @@ def test_three_chain_summary_is_np_quantile_over_the_chains_traces(data_dir, tmp
     want = np.quantile(np.concatenate([draws for draws, _ in chains], axis=1),
                        (0.025, 0.5, 0.975), axis=1)
     back = tmp_path / "back"
-    inference.write_summary_csv(
-        {name: inference.QuantitySummary(*q.T)
-         for name, q in zip(inference.TRACE_NAMES, split_keyed(want.T, len(days)))},
-        days, back)
+    inference.write_summary_csv(want, days, back)
     assert (out / "summary.csv").read_bytes() == back.read_bytes()
     for k in range(3):
         assert sorted(p.name for p in (out / f"chain_{k:02d}").iterdir()) == [

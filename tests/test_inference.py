@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dir_sampler import (ConfigError, ModelConstants, QuantitySummary,
-                         SamplerConfig, ValidationError, ability_coverage, fit, fit_online,
-                         parameter_coverage, simulate_dataset, summarize)
+from dir_sampler import (ConfigError, ModelConstants, SamplerConfig, ValidationError,
+                         ability_coverage, fit, fit_online, parameter_coverage,
+                         simulate_dataset, summarize)
 from dir_sampler import inference
 from dir_sampler.errors import DataError
-from dir_sampler.inference import (QUANTILES, TRACE_NAMES, ChainOutput, read_traces_csv,
-                                   write_traces_csv, _run_chain)
+from dir_sampler.inference import (QUANTILES, ChainOutput, read_traces_csv, write_traces_csv,
+                                   _run_chain)
 from dir_sampler.model import propriety_failures, split_keyed
 from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config
 
@@ -60,16 +60,6 @@ def test_summarize_rejects_empty():
         summarize(np.empty((3, 0)))
 
 
-def by_quantity(quantiles, days):
-    """name -> (series, 3) quantiles of (3, series) ``quantiles`` in the keyed layout."""
-    return dict(zip(TRACE_NAMES, split_keyed(quantiles.T, len(days))))
-
-
-def stacked(s):
-    """A QuantitySummary as (series, 3), one series for the drift sd's scalars."""
-    return np.column_stack([s.q025, s.median, s.q975])
-
-
 def test_chain_summaries_allocate_a_fraction_of_its_draws():
     """Summarizing one chain of a cohort fit (200 draws x 2,001 series)
     copies and partitions a block of series at a time: it allocates at most
@@ -78,12 +68,10 @@ def test_chain_summaries_allocate_a_fraction_of_its_draws():
     written from them after the summaries."""
     output = cohort_chain_output(np.random.default_rng(1))
     before = output.draws.copy()
-    got, peak = traced_peak(inference._summaries, output.draws, output.days)
+    got, peak = traced_peak(inference._summaries, output.draws)
     assert peak <= output.draws.nbytes / 4
     assert output.draws.tobytes() == before.tobytes()
-    want = by_quantity(np.quantile(before, QUANTILES, axis=1), output.days)
-    for name, s in got.items():
-        assert stacked(s).tobytes() == want[name].tobytes(), name
+    assert got.tobytes() == np.quantile(before, QUANTILES, axis=1).tobytes()
 
 
 TIES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 1e-300])
@@ -116,9 +104,9 @@ def cohort_chain_output(rng, n=200, n_draws=200):
     """A chain of a two-chain cohort fit: 200 individuals x 6 days, 2,001
     series of 200 draws."""
     draws = np.concatenate([rng.normal(size=(7 * n, n_draws)), rng.random((3 * n + 1, n_draws))])
-    return ChainOutput(draws=draws, summaries={}, days=np.full(n, 6), n_iterations=400,
-                       burn_in=200, thin=1, wall_time=0.0, ks_accept_rate=1.0,
-                       guard_redraws=0)
+    return ChainOutput(draws=draws, quantiles=np.empty((3, 0)), days=np.full(n, 6),
+                       n_iterations=400, burn_in=200, thin=1, wall_time=0.0,
+                       ks_accept_rate=1.0, guard_redraws=0)
 
 
 def test_pooled_spills_allocate_a_fraction_of_their_draws(tmp_path):
@@ -133,10 +121,8 @@ def test_pooled_spills_allocate_a_fraction_of_their_draws(tmp_path):
     assert sum(spill.stat().st_size for spill in spills) == 2 * 200 * 2001 * 8
     pooled, peak = traced_peak(inference.pool_spills, spills, outputs[0].days, 200)
     assert peak <= sum(spill.stat().st_size for spill in spills) / 4
-    want = by_quantity(np.quantile(np.concatenate([o.draws for o in outputs], axis=1),
-                                   QUANTILES, axis=1), outputs[0].days)
-    for name, s in pooled.items():
-        assert stacked(s).tobytes() == want[name].tobytes(), name
+    want = np.quantile(np.concatenate([o.draws for o in outputs], axis=1), QUANTILES, axis=1)
+    assert pooled.tobytes() == want.tobytes()
 
 
 def test_one_chain_spill_pools_to_that_chains_summaries(tmp_path):
@@ -146,10 +132,9 @@ def test_one_chain_spill_pools_to_that_chains_summaries(tmp_path):
     spill = tmp_path / "chain.spill"
     output.draws.tofile(spill)
     pooled = inference.pool_spills([spill], output.days, 7)
-    direct = inference._summaries(output.draws, output.days)
-    assert list(pooled) == list(direct) == list(TRACE_NAMES)
-    for name in TRACE_NAMES:
-        assert stacked(pooled[name]).tobytes() == stacked(direct[name]).tobytes(), name
+    direct = inference._summaries(output.draws)
+    assert pooled.shape == direct.shape == (3, len(output.draws))
+    assert pooled.tobytes() == direct.tobytes()
 
 
 def test_a_short_spill_is_a_data_error(tmp_path):
@@ -179,9 +164,9 @@ def synthetic_truth(days, theta):
 def test_coverage_everything_inside_huge_intervals():
     days = np.array([3, 2])
     total = int(np.sum(days + 1))
-    summary = QuantitySummary(q025=np.full(total, -1e9), median=np.zeros(total),
-                              q975=np.full(total, 1e9))
-    cov = ability_coverage(summary, np.zeros(total), days)
+    series = total + 3 * len(days) + 1
+    quantiles = np.stack([np.full(series, -1e9), np.zeros(series), np.full(series, 1e9)])
+    cov = ability_coverage(quantiles, np.zeros(total), days)
     assert cov.overall == 1.0
     assert np.all(cov.per_individual == 1.0)
 
@@ -189,9 +174,9 @@ def test_coverage_everything_inside_huge_intervals():
 def test_coverage_nothing_inside():
     days = np.array([2, 2])
     total = int(np.sum(days + 1))
-    summary = QuantitySummary(q025=np.full(total, 1.0), median=np.full(total, 2.0),
-                              q975=np.full(total, 3.0))
-    cov = ability_coverage(summary, np.zeros(total), days)
+    series = total + 3 * len(days) + 1
+    quantiles = np.stack([np.full(series, 1.0), np.full(series, 2.0), np.full(series, 3.0)])
+    cov = ability_coverage(quantiles, np.zeros(total), days)
     assert cov.overall == 0.0
 
 
@@ -202,25 +187,58 @@ def test_coverage_aggregates_per_individual_rates():
     days = np.full(10, 100)
     total = int(np.sum(days + 1))
     truth = np.zeros(total)
-    lo = np.full(total, -1.0)
-    hi = np.full(total, 1.0)
+    lo = np.full(total + 3 * len(days) + 1, -1.0)
+    hi = np.full(total + 3 * len(days) + 1, 1.0)
     start = 0
     for k in hits:
         # day 0 is unscored; make the last (100 - k) scored days miss
         lo[start + 1 + k:start + 101] = 5.0
         hi[start + 1 + k:start + 101] = 6.0
         start += 101
-    summary = QuantitySummary(q025=lo, median=0.5 * (lo + hi), q975=hi)
-    cov = ability_coverage(summary, truth, days)
+    cov = ability_coverage(np.stack([lo, 0.5 * (lo + hi), hi]), truth, days)
     assert np.allclose(cov.per_individual, np.asarray(hits) / 100.0)
     assert cov.overall == pytest.approx(0.983)
 
 
 def test_coverage_rejects_misaligned_inputs():
     days = np.array([2, 2])
-    summary = QuantitySummary(q025=np.zeros(5), median=np.zeros(5), q975=np.zeros(5))
     with pytest.raises(ValueError):
-        ability_coverage(summary, np.zeros(6), days)
+        ability_coverage(np.zeros((3, 5 + 7)), np.zeros(6), days)
+
+
+def parameter_truth():
+    """Two individuals of 2 and 1 days whose growth rates and day, test and
+    drift sds all differ: 0.1, 0.2; 0.5, 0.25; 3, 4; 0.1."""
+    return replace(synthetic_truth([2, 1], np.zeros(5)), growth=np.array([0.1, 0.2]),
+                   day_effect_precision=np.array([4.0, 16.0]),
+                   test_effect_precision=np.array([1 / 9, 1 / 16]), drift_precision=100.0)
+
+
+def test_parameter_coverage_pairs_each_series_with_its_truth():
+    """The hits follow the keyed layout: growth, day_effect_sd,
+    test_effect_sd, drift_sd, so swapping two quantities' truths shows."""
+    truth = parameter_truth()
+    params = np.array([0.1, 0.2, 0.5, 0.25, 3.0, 4.0, 0.1])
+    quantiles = np.concatenate([np.zeros((3, 5)), params * [[0.99], [1.0], [1.01]]], axis=1)
+    quantiles[0, 5 + 5] = 4.02  # the second test effect sd's interval, (4.02, 4.04), misses 4
+    hits = parameter_coverage(quantiles, truth)
+    assert hits.tolist() == [True] * 5 + [False, True]
+    assert [h.tolist() for h in split_keyed(hits, 2)[1:]] == [
+        [True, True], [True, True], [True, False], [True]]
+    swapped = replace(truth, day_effect_precision=truth.test_effect_precision,
+                      test_effect_precision=truth.day_effect_precision)
+    assert not parameter_coverage(quantiles, swapped)[2:6].any()
+
+
+def test_parameter_coverage_rejects_another_designs_summary():
+    """A summary of three individuals, or of the same two with other day
+    counts, is not scored against the truth of two, even where its last
+    3n + 1 series would line up."""
+    truth = parameter_truth()
+    for days in ([2, 1, 1], [3, 1], [1, 1]):
+        width = int(np.sum(np.add(days, 1))) + 3 * len(days) + 1
+        with pytest.raises(ValueError, match="not index-aligned"):
+            parameter_coverage(np.zeros((3, width)), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +269,9 @@ def test_fit_deterministic_given_seed():
 def test_fit_summaries_are_ordered():
     data, truth, constants = small_sim(seed=4)
     out = fit(data, constants, SamplerConfig(n_iterations=60, burn_in=20, thin=2, seed=1))
-    for s in out.summaries.values():
-        assert np.all(s.q025 <= s.median) and np.all(s.median <= s.q975)
-    assert 0.0 <= parameter_coverage(out.summaries, truth) <= 1.0
+    assert np.all(out.quantiles[0] <= out.quantiles[1])
+    assert np.all(out.quantiles[1] <= out.quantiles[2])
+    assert 0.0 <= np.mean(parameter_coverage(out.quantiles, truth)) <= 1.0
 
 
 # ---------------------------------------------------------------------------
