@@ -1,9 +1,12 @@
 """Command-line entry point: simulate / validate / fit / online / summarize.
 
-Config files are flat JSON; unknown keys and mistyped values are rejected
-so a typo in a constant cannot silently change a run.  Every output directory gets a
-manifest.json recording the resolved configuration, seed, and input
-checksums, sufficient to re-run bit-identically.  A fit's manifest also
+Config files are flat JSON; unknown keys, mistyped values and a group_prior
+for a group the data lacks are rejected, so a typo cannot silently change a
+run.  fit and online share every option and config key but one: fit's
+--chains, and online's required --drift-sd, the drift sd that each day's
+chain holds.  Every output directory gets a manifest.json recording the
+command, its resolved configuration, seed, and input checksums, sufficient
+to re-run bit-identically.  A fit's manifest also
 records its data directory, where summarize finds the truth.csv that
 simulate wrote.  A fit also writes run_report.json with the wall time, sweep
 count, K-S acceptance rate, guard-redraw count and per-update wall seconds
@@ -64,8 +67,12 @@ _SIM_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "growth
              "day_effect_precision", "test_effect_precision", "drift_precision",
              "sigma", "rho", "delta_tmax", "difficulty_halfwidth", "init_mean",
              "init_var", "lapse_table", "seed"}
-_FIT_KEYS = {"sigma", "rho", "delta_tmax", "group_prior", "iterations", "burn_in",
-             "thin", "seed", "mode", "drift_sd", "chains"}
+# fit's and online's config keys: these eight, and one of each command's own
+_SHARED_KEYS = ("sigma", "rho", "delta_tmax", "group_prior", "iterations", "burn_in", "thin",
+                "seed")
+_OWN_KEY = {"fit": "chains", "online": "drift_sd"}
+_SAMPLER_FIELDS = {"iterations": "n_iterations", "burn_in": "burn_in", "thin": "thin",
+                   "seed": "seed", "drift_sd": "fixed_drift_sd"}  # key -> SamplerConfig field
 # scalar keys whose values must be JSON integers (not booleans) or numbers
 _INTEGER_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "iterations",
                  "burn_in", "thin", "seed", "chains"}
@@ -91,8 +98,7 @@ def _load_config(path, allowed: set) -> dict:
     for key, val in cfg.items():
         if key in _INTEGER_KEYS and type(val) is not int:
             raise ConfigError(f"{key} must be an integer, got {json.dumps(val)}")
-        if (key in _NUMBER_KEYS and type(val) not in (int, float)
-                and (key, val) != ("drift_sd", None)):  # a null drift_sd is unset
+        if key in _NUMBER_KEYS and type(val) not in (int, float):
             raise ConfigError(f"{key} must be a number, got {json.dumps(val)}")
         if key == "group_prior" and type(val) is not dict:
             raise ConfigError(f"{key} must be a JSON object, got {json.dumps(val)}")
@@ -193,6 +199,10 @@ def cmd_validate(args) -> int:
 
 def _constants_from(cfg: dict, data: Dataset) -> ModelConstants:
     prior_cfg = cfg.get("group_prior", {})
+    unknown = set(prior_cfg) - {str(label) for label in data.group}
+    if unknown:
+        raise ConfigError("group_prior names groups the data lacks: "
+                          + ", ".join(map(repr, sorted(unknown))))
     with _malformed("group_prior"):
         priors = {label: tuple(map(float, prior_cfg[str(label)])) if str(label) in prior_cfg
                   else DEFAULT_GROUP_PRIOR for label in set(data.group)}
@@ -218,17 +228,15 @@ def _fit_one_chain(packed):
     return inference.chain_report(output), output.days, output.n_draws
 
 
-def cmd_fit(args, force_online: bool = False) -> int:
+def cmd_fit(args) -> int:
     from . import inference
-    cfg = _load_config(args.config, _FIT_KEYS) if args.config else {}
-    for key in ("iterations", "burn_in", "thin", "seed", "mode", "drift_sd", "chains"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    mode = "online" if force_online else cfg.get("mode", "retrospective")
-    config = SamplerConfig(n_iterations=cfg.get("iterations", 50_000),
-                           burn_in=cfg.get("burn_in", 30_000), thin=cfg.get("thin", 10),
-                           seed=cfg.get("seed", 0), mode=mode, fixed_drift_sd=cfg.get("drift_sd"))
+    online = args.command == "online"
+    keys = (*_SHARED_KEYS, _OWN_KEY[args.command])
+    cfg = _load_config(args.config, set(keys)) if args.config else {}
+    cfg.update({key: getattr(args, key) for key in keys
+                if getattr(args, key, None) is not None})
+    config = SamplerConfig(**{name: cfg[key] for key, name in _SAMPLER_FIELDS.items()
+                              if key in cfg})
     chains = cfg.get("chains", 1)
     if chains < 1:
         raise ConfigError("chains must be >= 1")
@@ -244,17 +252,15 @@ def cmd_fit(args, force_online: bool = False) -> int:
         "delta_tmax": constants.delta_tmax,
         "group_prior": {str(k): list(v) for k, v in constants.group_prior.items()},
         "iterations": config.n_iterations, "burn_in": config.burn_in,
-        "thin": config.thin, "seed": config.seed, "mode": config.mode,
-        "drift_sd": config.fixed_drift_sd, "chains": chains,
+        "thin": config.thin, "seed": config.seed,
+        **({"drift_sd": config.fixed_drift_sd} if online else {"chains": chains}),
     }
 
-    if config.mode == "online":
-        if chains != 1:
-            raise ConfigError("on-line estimation runs a single chain per prefix")
-        trajectories, refits = inference.fit_online(data, constants, config)
+    if online:
+        quantiles, flagged, refits = inference.fit_online(data, constants, config)
         path = out_dir / inference.ONLINE_FILE
-        inference.write_online_csv(trajectories, path)
-        command, written, run_report = "fit --mode online", [path], {"refits": refits}
+        inference.write_online_csv(quantiles, flagged, data.days, path)
+        written, run_report = [path], {"refits": refits}
         done = f"on-line trajectories for {data.n_individuals} individuals -> {path}"
     else:
         chain_dirs = ([out_dir / f"chain_{k:02d}" for k in range(chains)] if chains > 1
@@ -266,8 +272,8 @@ def cmd_fit(args, force_online: bool = False) -> int:
                   else [None])
         packed = [(data, constants, replace(config, seed=config.seed + k), chain_dir, spill)
                   for k, (chain_dir, spill) in enumerate(zip(chain_dirs, spills))]
-        command, written = "fit", [chain_dir / name for chain_dir in chain_dirs
-                                   for name in (inference.TRACES_FILE, inference.SUMMARY_FILE)]
+        written = [chain_dir / name for chain_dir in chain_dirs
+                   for name in (inference.TRACES_FILE, inference.SUMMARY_FILE)]
         try:
             if chains == 1:
                 results = [_fit_one_chain(packed[0])]
@@ -291,7 +297,7 @@ def cmd_fit(args, force_online: bool = False) -> int:
     report = out_dir / RUN_REPORT_FILE
     report.write_text(json.dumps(run_report, indent=2) + "\n")
     written.append(report)
-    _write_manifest(out_dir, command, resolved, checksums,
+    _write_manifest(out_dir, args.command, resolved, checksums,
                     [p for p in written if p.parent == out_dir],
                     data_dir=str(data_dir.resolve()))
     print(done)
@@ -401,21 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data_dir")
     p.set_defaults(func=cmd_validate)
 
-    for name, force in (("fit", False), ("online", True)):
-        p = sub.add_parser(name, help="fit the model"
-                           + (" on each data prefix (on-line mode)" if force else ""))
+    for name, help_text in (("fit", "fit the model to the full data"),
+                            ("online", "fit the model to each day's data prefix, the drift "
+                                       "sd held fixed (on-line estimation)")):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("data_dir")
         p.add_argument("--config", help="JSON file with constants/sampler settings")
         p.add_argument("--iterations", type=int, default=None)
         p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
         p.add_argument("--thin", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--chains", type=int, default=None)
-        p.add_argument("--drift-sd", dest="drift_sd", type=float, default=None)
-        if not force:
-            p.add_argument("--mode", choices=("retrospective", "online"), default=None)
+        if name == "fit":
+            p.add_argument("--chains", type=int, default=None, help="chains to pool")
+        else:
+            p.add_argument("--drift-sd", dest="drift_sd", type=float, default=None,
+                           help="the drift sd that each day's chain holds (required)")
         p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=lambda a, _force=force: cmd_fit(a, force_online=_force))
+        p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("summarize", help="recompute quantiles (and coverage when "
                                          "the fit's truth.csv is found) from traces")

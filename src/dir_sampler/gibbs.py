@@ -2,9 +2,10 @@
 
 One sweep updates, in order: latent utilities, ability paths, growth
 rates, test effects, test-effect precisions, daily effects, daily-effect
-precisions, the system-noise precision (retrospective mode only), and the
-per-item mixture scales.  Every update conditions on the current values of
-everything else, so the sweep leaves the joint posterior invariant.
+precisions, the system-noise precision, and the per-item mixture scales.
+Every update conditions on the current values of everything else, so the
+sweep leaves the joint posterior invariant.  An on-line chain holds the
+system-noise precision fixed and skips its update.
 
 No update loops over individuals or days in Python.  The ability paths of
 all individuals are drawn together: their joint conditional has a
@@ -281,11 +282,9 @@ def update_day_effect_precision(rng: np.random.Generator, state: LatentState,
         "day-effect precision")
 
 
-def update_drift_precision(rng: np.random.Generator, state: LatentState, work: SweepWorkspace,
-                           mode: str = "retrospective") -> None:
-    """Gamma draw of the shared system-noise precision; held fixed on-line."""
-    if mode == "online":
-        return
+def update_drift_precision(rng: np.random.Generator, state: LatentState,
+                           work: SweepWorkspace) -> None:
+    """Gamma draw of the shared system-noise precision."""
     data = work.data
     shape = np.sum(data.days) / 2.0 - 0.5
     if shape <= 0.0:
@@ -333,12 +332,12 @@ def update_ks_scales(rng: np.random.Generator, state: LatentState,
 
 
 def _step(name: str, update, rng: np.random.Generator, state: LatentState,
-          work: SweepWorkspace, *extra) -> None:
+          work: SweepWorkspace) -> None:
     """Run one update, adding its wall seconds to ``work.update_s[name]`` and
     reporting a numeric failure with the update's name."""
     start = time.perf_counter()
     try:
-        update(rng, state, work, *extra)
+        update(rng, state, work)
     except ConfigError:
         raise
     except (NumericError, ValueError, FloatingPointError) as exc:
@@ -348,8 +347,9 @@ def _step(name: str, update, rng: np.random.Generator, state: LatentState,
 
 
 def gibbs_sweep(rng: np.random.Generator, state: LatentState, work: SweepWorkspace,
-                mode: str = "retrospective") -> LatentState:
-    """Apply all nine updates in order, mutating and returning ``state``."""
+                hold_drift: bool = False) -> LatentState:
+    """Apply the nine updates in order, mutating and returning ``state``;
+    with ``hold_drift``, as on-line, skip the drift precision's and run eight."""
     work.refresh_obs_precision(state)
     _step("latent utilities", update_latent_utilities, rng, state, work)
     _step("abilities", update_abilities, rng, state, work)
@@ -358,6 +358,7 @@ def gibbs_sweep(rng: np.random.Generator, state: LatentState, work: SweepWorkspa
     _step("test-effect precision", update_test_effect_precision, rng, state, work)
     _step("day effects", update_day_effects, rng, state, work)
     _step("day-effect precision", update_day_effect_precision, rng, state, work)
-    _step("drift precision", update_drift_precision, rng, state, work, mode)
+    if not hold_drift:
+        _step("drift precision", update_drift_precision, rng, state, work)
     _step("mixture scales", update_ks_scales, rng, state, work)
     return state

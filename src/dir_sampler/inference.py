@@ -2,8 +2,9 @@
 
 ``fit`` runs one seeded chain over the full data; ``fit_online`` runs one
 chain per day t over every individual's first t days, with the system-noise
-precision held fixed, the way real-time estimation must.  Every chain starts
-cold and runs the configured burn-in.  A chain's thinned post-burn-in draws
+precision held at 1/sd^2 for the config's ``fixed_drift_sd`` (which ``fit``
+rejects), the way real-time estimation must.  Every chain starts cold and
+runs the configured burn-in.  A chain's thinned post-burn-in draws
 are one (series, draws) matrix whose rows follow the keyed layout of
 ``TRACE_NAMES``, the row order of traces.csv, summary.csv and the spill
 file of ``fit --chains k``.  A summary is the (3, series) matrix of the
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import ConfigError, DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_state,
                     keyed_layout, propriety_failures, read_keyed_csv, split_keyed,
@@ -142,12 +143,14 @@ def chain_report(output: ChainOutput) -> dict:
 def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
                seed_seq=None, frozen: np.ndarray | None = None) -> ChainOutput:
     """Run sweeps from ``initial_state`` and collect thinned draws; the
-    individuals marked ``frozen`` keep their effect precisions at 1."""
+    individuals marked ``frozen`` keep their effect precisions at 1, and
+    with ``config.fixed_drift_sd`` set the drift precision stays 1/sd^2."""
     start = time.perf_counter()
     n_draws = (config.n_iterations - config.burn_in) // config.thin
     work = SweepWorkspace(data, constants, frozen)
     state = initial_state(data)
-    if config.mode == "online":
+    hold_drift = config.fixed_drift_sd is not None
+    if hold_drift:
         state.drift_precision = 1.0 / config.fixed_drift_sd ** 2
     if seed_seq is None:
         seed_seq = _stream_seed(config.seed)
@@ -157,7 +160,7 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     theta, growth, day_sd, test_sd, drift_sd = split_keyed(draws, data.n_individuals)
     k = 0
     for sweep in range(1, config.n_iterations + 1):
-        gibbs_sweep(rng, state, work, mode=config.mode)
+        gibbs_sweep(rng, state, work, hold_drift)
         if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
             theta[:, k] = state.theta
             growth[:, k] = state.growth
@@ -175,6 +178,8 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
 
 def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> ChainOutput:
     """Validate, run burn-in plus sampling sweeps, summarize."""
+    if config.fixed_drift_sd is not None:  # a chain over the full data learns it
+        raise ConfigError("fixed_drift_sd is used only on-line (fit_online)")
     report = validate_dataset(data)
     if not report.passed:
         raise ValidationError(report)
@@ -227,52 +232,41 @@ def parameter_coverage(quantiles: np.ndarray, truth) -> np.ndarray:
 # On-line (prefix-data) estimation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OnlineTrajectory:
-    """One individual's endpoint ability estimates per day t, each from the
-    day-t chain, which sees only days up to t.  ``flagged[t]`` marks days
-    whose prefix fails the individual's propriety conditions; that chain
-    holds the individual's effect precisions at 1."""
-
-    individual: int
-    median: np.ndarray
-    q025: np.ndarray
-    q975: np.ndarray
-    flagged: np.ndarray
-
-
 def fit_online(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> tuple:
-    """Per-day prefix fits with the drift sd fixed (it cannot be learned
-    on-line); returns (trajectories, refits).
+    """Per-day prefix fits with the drift sd held at ``config.fixed_drift_sd``
+    (it cannot be learned on-line); returns (quantiles, flagged, refits).
+
+    ``quantiles`` holds the (2.5%, 50%, 97.5%) quantiles of each day's
+    ability from that day's chain, a (3, days) matrix in the dataset's day
+    order: individual i's day t is column ``data.day_start[i] + t - 1``.
+    ``flagged``, (days,) in the same order, marks the days whose prefix fails
+    the individual's propriety conditions; that chain holds the individual's
+    effect precisions at 1.  ``refits`` holds each chain's run-report entry
+    and its day.
 
     For each day t, one chain runs cold from ``initial_state`` with the
     configured burn-in over every individual's first min(t, T_i) days,
     seeded by (seed, t), so the estimates for day t are bit-identical
     whether or not later days exist.  With the drift sd fixed the
-    individuals are independent, so sharing the chain changes no posterior.
-    ``refits`` holds each chain's run-report entry and its day."""
-    config = replace(config, mode="online")
+    individuals are independent, so sharing the chain changes no posterior."""
+    if config.fixed_drift_sd is None:
+        raise ConfigError("on-line estimation requires fixed_drift_sd")
     report = validate_dataset(data)
     if not report.passed:
         raise ValidationError(report)
-    n, t_max = data.n_individuals, int(data.days.max())
-    median, q025, q975 = (np.empty((n, t_max)) for _ in range(3))
-    flagged = np.zeros((n, t_max), dtype=bool)
+    quantiles = np.empty((len(QUANTILES), data.n_days))
+    flagged = np.empty(data.n_days, dtype=bool)
     refits = []
-    for t in range(1, t_max + 1):
+    for t in range(1, int(data.days.max()) + 1):
         sub = data.individual_prefix(t)
         frozen = np.array([bool(mine) for mine in propriety_failures(sub)])
         output = _run_chain(sub, constants, config, _stream_seed(config.seed, t), frozen)
         live = data.days >= t  # individuals whose day t exists
-        endpoint = theta_offsets(sub)[:-1][live] + t
-        q025[live, t - 1], median[live, t - 1], q975[live, t - 1] = (
-            output.quantiles[:, endpoint])
-        flagged[live, t - 1] = frozen[live]
+        day = data.day_start[:-1][live] + t - 1
+        quantiles[:, day] = output.quantiles[:, theta_offsets(sub)[:-1][live] + t]
+        flagged[day] = frozen[live]
         refits.append({"day": t, **chain_report(output)})
-    trajectories = [OnlineTrajectory(individual=i, median=median[i, :t_i], q025=q025[i, :t_i],
-                                     q975=q975[i, :t_i], flagged=flagged[i, :t_i])
-                    for i, t_i in enumerate(data.days)]
-    return trajectories, refits
+    return quantiles, flagged, refits
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +296,17 @@ def write_summary_csv(quantiles: np.ndarray, days: np.ndarray, path) -> None:
     write_keyed_csv(path, SUMMARY_HEADER, TRACE_NAMES, days, quantiles.T)
 
 
-def write_online_csv(trajectories, path) -> None:
-    """One row per individual and day t: the (2.5%, 50%, 97.5%) quantiles of
+def write_online_csv(quantiles: np.ndarray, flagged: np.ndarray, days: np.ndarray,
+                     path) -> None:
+    """One row per individual and day t of ``fit_online``'s ``quantiles`` and
+    ``flagged``, for individuals with ``days`` days each: the quantiles of
     the day-t ability from the day-t chain, and whether its prefix was flagged."""
+    individual = np.repeat(np.arange(1, len(days) + 1), days)
+    day = np.arange(1, len(individual) + 1) - np.repeat(_offsets(days)[:-1], days)
     with Path(path).open("w", newline="") as fh:
         fh.write("individual,day,q025,median,q975,flagged\r\n")  # the row end of csv.writer
-        for traj in trajectories:
-            n_days = len(traj.median)
-            fh.writelines("%d,%d,%.17g,%.17g,%.17g,%d\r\n" % row for row in zip(
-                [traj.individual + 1] * n_days, range(1, n_days + 1), traj.q025.tolist(),
-                traj.median.tolist(), traj.q975.tolist(), traj.flagged.tolist()))
+        fh.writelines("%d,%d,%.17g,%.17g,%.17g,%d\r\n" % row for row in zip(
+            individual.tolist(), day.tolist(), *quantiles.tolist(), flagged.tolist()))
 
 
 def read_traces_csv(path):

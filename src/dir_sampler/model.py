@@ -310,21 +310,20 @@ def initial_state(data: Dataset) -> LatentState:
     )
 
 
-VALID_MODES = ("retrospective", "online")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Chain length, burn-in, thinning and seed, and the drift sd that an
+    on-line chain holds fixed: ``inference.fit_online`` requires
+    ``fixed_drift_sd`` and ``inference.fit``, whose chain learns the drift
+    sd, rejects it."""
+
     n_iterations: int = 50_000
     burn_in: int = 30_000
     thin: int = 10
     seed: int = 0
-    mode: str = "retrospective"
-    fixed_drift_sd: float | None = None  # required in online mode, rejected outside it
+    fixed_drift_sd: float | None = None
 
     def __post_init__(self):
-        if self.mode not in VALID_MODES:
-            raise ConfigError(f"mode must be one of {VALID_MODES}, got {self.mode!r}")
         if not (0 <= self.burn_in < self.n_iterations):
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_iterations")
         if self.thin < 1:
@@ -333,9 +332,7 @@ class SamplerConfig:
             raise ConfigError("seed must be >= 0")
         if (self.n_iterations - self.burn_in) % self.thin != 0:
             raise ConfigError("n_iterations - burn_in must be divisible by thin")
-        if self.mode == "online":
-            if self.fixed_drift_sd is None:
-                raise ConfigError("online mode requires fixed_drift_sd")
+        if self.fixed_drift_sd is not None:
             try:  # the chain holds the drift precision at 1/sd^2
                 precision = 1.0 / self.fixed_drift_sd ** 2
             except (ZeroDivisionError, OverflowError):
@@ -343,8 +340,6 @@ class SamplerConfig:
             if not (self.fixed_drift_sd > 0.0 and 0.0 < precision < math.inf):
                 raise ConfigError("fixed_drift_sd must be > 0 with a finite precision "
                                   f"1/sd^2 > 0, got {self.fixed_drift_sd!r}")
-        elif self.fixed_drift_sd is not None:  # a retrospective chain learns it
-            raise ConfigError("fixed_drift_sd is used only in online mode")
 
 
 # ---------------------------------------------------------------------------

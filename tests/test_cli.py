@@ -145,7 +145,7 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
      "test_effect_precision"),
     (("simulate", "--paper-defaults"), {"lapse_table": [[1e400] * 50] * 10}, "lapse_table"),
     (("fit", *SHORT_FIT), {"delta_tmax": 1e400}, "delta_tmax"),
-    (("fit", *SHORT_FIT, "--drift-sd", 0.05), None, "drift_sd"),
+    (("fit", *SHORT_FIT, "--drift-sd", 0.05), None, "--drift-sd"),
     (("fit", *SHORT_FIT), {"drift_sd": 0.05}, "drift_sd"),
     (("online", *SHORT_FIT, "--drift-sd", 1e-200), None, "drift_sd"),
     (("online", *SHORT_FIT, "--drift-sd", 1e200), None, "drift_sd"),
@@ -160,6 +160,11 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("fit", *SHORT_FIT), {"rho": 1e-320}, "rho"),
     (("fit", *SHORT_FIT), {"rho": 1e-310}, "rho"),
     (("fit", *SHORT_FIT), {"delta_tmax": 1e-320}, "delta_tmax"),
+    (("fit", *SHORT_FIT, "--mode", "online"), None, "--mode"),
+    (("fit", *SHORT_FIT), {"mode": "online"}, "mode"),
+    (("online", *SHORT_FIT, "--drift-sd", 0.05, "--chains", 2), None, "--chains"),
+    (("online", *SHORT_FIT, "--drift-sd", 0.05), {"chains": 2}, "chains"),
+    (("fit", *SHORT_FIT), {"group_prior": {"g": [0.0, 1.0], "G": [5.0, 0.1]}}, "'G'"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
@@ -168,8 +173,9 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
     group prior whose precision 1/v or mean/v overflows, a rho whose 1/rho
     or a delta_tmax whose 1/delta_tmax^2 overflows, a sigma whose
     square or a difficulty halfwidth whose double overflows, or a
-    drift sd outside on-line mode, where the chain would learn it instead,
-    ends in exit 3 with a message naming it: no traceback, no silent
+    setting that the command does not take (fit's chain learns the drift
+    sd; online runs one chain a day), or a group prior for a group the data
+    lacks, ends in exit 3 with a message naming it: no traceback, no silent
     truncation to an integer, and no value recorded but unused."""
     command, *flags = argv
     if config is not None:
@@ -372,8 +378,7 @@ def test_fit_manifest_records_config_checksums_and_data_dir(data_dir, fit_dir):
     manifest = json.loads((fit_dir / "manifest.json").read_text())
     assert manifest["config"] == {
         "sigma": 0.7333, "rho": 0.118, "delta_tmax": 14.0, "group_prior": {"g": [0.0, 1.0]},
-        "iterations": 30, "burn_in": 10, "thin": 2, "seed": 3, "mode": "retrospective",
-        "drift_sd": None, "chains": 1}
+        "iterations": 30, "burn_in": 10, "thin": 2, "seed": 3, "chains": 1}
     assert manifest["input_sha256"] == {
         name: hashlib.sha256((data_dir / name).read_bytes()).hexdigest()
         for name in ("responses.csv", "lapses.csv", "groups.csv")}
@@ -435,23 +440,27 @@ UPDATE_NAMES = ["latent utilities", "abilities", "growth", "test effects",
                                              pytest.param("online", 1, id="online")])
 def test_fit_writes_run_report(data_dir, tmp_path, capsys, command, chains):
     """One entry per chain, or on-line one per day's chain (three days here),
-    each with the wall seconds of the nine updates, in sweep order."""
+    each with the wall seconds of the updates that ran, in sweep order: all
+    nine, or on-line the eight other than the drift precision's, which the
+    chain holds."""
     out = tmp_path / "fit"
-    drift = ["--drift-sd", 0.05] if command == "online" else []
+    own = ["--drift-sd", 0.05] if command == "online" else ["--chains", chains]
     code, _ = run(capsys, command, data_dir, "--iterations", 30, "--burn-in", 10,
-                  "--thin", 2, "--chains", chains, *drift, "-o", out)
+                  "--thin", 2, *own, "-o", out)
     assert code == 0
     report = json.loads((out / "run_report.json").read_text())
     if command == "online":
         assert list(report) == ["refits"]
         assert [refit.pop("day") for refit in report["refits"]] == [1, 2, 3]
+        updates = [name for name in UPDATE_NAMES if name != "drift precision"]
     else:
         assert list(report) == ["chains"] and len(report["chains"]) == chains
+        updates = UPDATE_NAMES
     for chain in report.popitem()[1]:
         assert sorted(chain) == ["guard_redraws", "ks_accept_rate", "sweeps", "update_s",
                                  "wall_time_s"]
         assert chain["sweeps"] == 30 and chain["wall_time_s"] > 0.0
-        assert list(chain["update_s"]) == UPDATE_NAMES
+        assert list(chain["update_s"]) == updates
         assert all(t > 0.0 for t in chain["update_s"].values())
         assert sum(chain["update_s"].values()) < chain["wall_time_s"]
         assert 0.0 < chain["ks_accept_rate"] <= 1.0

@@ -444,11 +444,12 @@ def test_drift_precision_zero_residual_triggers_redraw_guard():
     assert not np.array_equal(state.theta, before)  # guard redrew the paths
 
 
-def test_drift_precision_online_is_noop():
+def test_sweep_that_holds_drift_precision_leaves_it_unchanged():
     data, work, state = frozen_setup([proper_individual(2), proper_individual(2)])
     state.drift_precision = 0.0612 ** -2
-    update_drift_precision(make_rng(17), state, work, mode="online")
+    gibbs_sweep(make_rng(17), state, work, hold_drift=True)
     assert state.drift_precision == 0.0612 ** -2
+    assert "drift precision" not in work.update_s
 
 
 # ---------------------------------------------------------------------------

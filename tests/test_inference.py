@@ -280,7 +280,7 @@ def test_fit_summaries_are_ordered():
 
 def online_config(seed=5):
     return SamplerConfig(n_iterations=300, burn_in=100, thin=4, seed=seed,
-                         mode="online", fixed_drift_sd=0.0612)
+                         fixed_drift_sd=0.0612)
 
 
 def test_online_requires_drift_sd():
@@ -292,22 +292,21 @@ def test_online_requires_drift_sd():
 
 def test_online_prefix_estimates_do_not_use_later_days():
     data, _, constants = small_sim(seed=7, days=6)
-    full, _ = fit_online(data, constants, online_config())
+    full, _, _ = fit_online(data, constants, online_config())
     # five days: the shortest prefix of this dataset that passes the gate
-    short, _ = fit_online(data.individual_prefix(5), constants, online_config())
+    prefix = data.individual_prefix(5)
+    short, _, _ = fit_online(prefix, constants, online_config())
     for i in range(data.n_individuals):
-        assert np.array_equal(full[i].median[:5], short[i].median)
-        assert np.array_equal(full[i].q025[:5], short[i].q025)
-        assert np.array_equal(full[i].q975[:5], short[i].q975)
+        assert np.array_equal(full[:, data.day_start[i]:data.day_start[i] + 5],
+                              short[:, prefix.day_start[i]:prefix.day_start[i + 1]])
 
 
 def test_online_flags_pre_propriety_days():
     data, _, constants = small_sim(seed=8, days=4)
-    trajectories, _ = fit_online(data, constants, online_config())
-    for traj in trajectories:
-        assert traj.flagged[0]  # a single-day prefix cannot satisfy the gate
-        assert len(traj.median) == 4
-        assert np.all(traj.q025 <= traj.median) and np.all(traj.median <= traj.q975)
+    quantiles, flagged, _ = fit_online(data, constants, online_config())
+    assert quantiles.shape == (3, data.n_days) and flagged.shape == (data.n_days,)
+    assert np.all(flagged[data.day_start[:-1]])  # a single-day prefix cannot satisfy the gate
+    assert np.all(quantiles[0] <= quantiles[1]) and np.all(quantiles[1] <= quantiles[2])
 
 
 def test_online_freezes_only_the_individuals_whose_prefix_fails_the_gate(monkeypatch):
@@ -324,9 +323,9 @@ def test_online_freezes_only_the_individuals_whose_prefix_fails_the_gate(monkeyp
         return chains[-1]
 
     monkeypatch.setattr(inference, "_run_chain", recording_run_chain)
-    config = SamplerConfig(n_iterations=30, burn_in=0, thin=1, seed=3, mode="online",
+    config = SamplerConfig(n_iterations=30, burn_in=0, thin=1, seed=3,
                            fixed_drift_sd=0.05)  # every sweep is a kept draw
-    trajectories, _ = fit_online(data, constants, config)
+    _, flagged, _ = fit_online(data, constants, config)
 
     _, _, day_sd, test_sd, _ = split_keyed(chains[2].draws, 2)
     for sd in (test_sd, day_sd):
@@ -335,7 +334,7 @@ def test_online_freezes_only_the_individuals_whose_prefix_fails_the_gate(monkeyp
     gate = [[bool(propriety_failures(data.individual_prefix(t))[i])
              for t in range(1, 5)] for i in range(2)]
     assert gate == [[True, False, False, False], [True, True, True, False]]
-    assert [traj.flagged.tolist() for traj in trajectories] == gate
+    assert flagged.tolist() == gate[0] + gate[1]
 
 
 @pytest.mark.parametrize("seed", [103, 104, 105])
@@ -345,12 +344,13 @@ def test_online_medians_stay_near_the_truth_from_day_six(seed):
     prefix's posterior has a real heavy tail towards the growth asymptote."""
     sim = replace(paper_default_config(seed), days=20)
     data, truth = simulate_dataset(sim)
-    config = SamplerConfig(n_iterations=40, burn_in=20, thin=1, seed=seed, mode="online",
+    config = SamplerConfig(n_iterations=40, burn_in=20, thin=1, seed=seed,
                            fixed_drift_sd=0.0218)
-    trajectories, _ = fit_online(data, sim.constants(), config)
-    for i, traj in enumerate(trajectories):
-        days = np.arange(6, len(traj.median) + 1)
-        error = traj.median[days - 1] - truth.theta[truth.theta_start[i] + days]
+    quantiles, _, _ = fit_online(data, sim.constants(), config)
+    for i in range(data.n_individuals):
+        days = np.arange(6, data.days[i] + 1)
+        error = (quantiles[1, data.day_start[i] + days - 1]
+                 - truth.theta[truth.theta_start[i] + days])
         assert np.all(np.abs(error) < 3.5), (i, np.abs(error).max())
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dir_sampler import (ConfigError, DataError, Dataset, ModelConstants,
-                         SamplerConfig, initial_state, read_dataset_csv,
+                         SamplerConfig, fit, fit_online, initial_state, read_dataset_csv,
                          simulate_dataset, validate_dataset, write_dataset_csv)
 from dir_sampler.model import (_BLOCK_ROWS, CLAUSE_DAYS, CLAUSE_MIXED,
                                CLAUSE_MULTITEST_DAYS, CLAUSE_N, CLAUSE_TEST_SHAPE,
@@ -281,14 +281,15 @@ def test_sampler_config_validation():
         SamplerConfig(n_iterations=100, burn_in=50, thin=0)
     with pytest.raises(ConfigError):
         SamplerConfig(n_iterations=100, burn_in=50, thin=7)  # 50 not divisible by 7
-    with pytest.raises(ConfigError):
-        SamplerConfig(n_iterations=100, burn_in=50, thin=5, mode="online")
-    SamplerConfig(n_iterations=100, burn_in=50, thin=5, mode="online",
-                  fixed_drift_sd=0.0612)
-    with pytest.raises(ConfigError, match="only in online mode"):
-        SamplerConfig(n_iterations=100, burn_in=50, thin=5, fixed_drift_sd=0.0612)
-    with pytest.raises(ConfigError):
-        SamplerConfig(mode="streaming")
+    SamplerConfig(n_iterations=100, burn_in=50, thin=5, fixed_drift_sd=0.0612)
+    data = build_dataset([proper_individual(), proper_individual()])
+    constants = ModelConstants(sigma=0.7, rho=0.1, delta_tmax=14.0,
+                               group_prior={"g": (0.0, 1.0)})
+    with pytest.raises(ConfigError, match="requires fixed_drift_sd"):
+        fit_online(data, constants, SamplerConfig(n_iterations=100, burn_in=50, thin=5))
+    with pytest.raises(ConfigError, match="fixed_drift_sd is used only on-line"):
+        fit(data, constants,
+            SamplerConfig(n_iterations=100, burn_in=50, thin=5, fixed_drift_sd=0.0612))
 
 
 def test_initial_state_protocol_values():
