@@ -67,10 +67,9 @@ _SIM_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "growth
              "day_effect_precision", "test_effect_precision", "drift_precision",
              "sigma", "rho", "delta_tmax", "difficulty_halfwidth", "init_mean",
              "init_var", "lapse_table", "seed"}
-# fit's and online's config keys: these eight, and one of each command's own
+# fit's and online's config keys: these eight, and fit's chains or online's drift_sd
 _SHARED_KEYS = ("sigma", "rho", "delta_tmax", "group_prior", "iterations", "burn_in", "thin",
                 "seed")
-_OWN_KEY = {"fit": "chains", "online": "drift_sd"}
 _SAMPLER_FIELDS = {"iterations": "n_iterations", "burn_in": "burn_in", "thin": "thin",
                    "seed": "seed", "drift_sd": "fixed_drift_sd"}  # key -> SamplerConfig field
 # scalar keys whose values must be JSON integers (not booleans) or numbers
@@ -231,12 +230,14 @@ def _fit_one_chain(packed):
 def cmd_fit(args) -> int:
     from . import inference
     online = args.command == "online"
-    keys = (*_SHARED_KEYS, _OWN_KEY[args.command])
+    keys = (*_SHARED_KEYS, "drift_sd" if online else "chains")
     cfg = _load_config(args.config, set(keys)) if args.config else {}
     cfg.update({key: getattr(args, key) for key in keys
                 if getattr(args, key, None) is not None})
     config = SamplerConfig(**{name: cfg[key] for key, name in _SAMPLER_FIELDS.items()
                               if key in cfg})
+    if online and config.fixed_drift_sd is None:  # before any output is made
+        raise ConfigError("online needs --drift-sd or a drift_sd config key")
     chains = cfg.get("chains", 1)
     if chains < 1:
         raise ConfigError("chains must be >= 1")

@@ -154,17 +154,16 @@ def update_abilities(rng: np.random.Generator, state: LatentState,
     """Draw every individual's ability path at once from its joint Gaussian
     conditional: one banded Cholesky factorisation of the tridiagonal path
     precision and two triangular solves (see ``ffbs``)."""
-    rho = work.constants.rho
     per_test = work.data.difficulty - state.day_effect[work.test_day]
     per_test -= state.test_effect
-    per_test -= 1.0 / rho
     prec_sum = np.add.reduceat(work.psi, work.day_item_start)
     weighted = np.add.reduceat(work.weighted_residual(state, per_test), work.day_item_start)
-    transition = 1.0 - state.growth[work.day_individual] * rho * work.lapse_trunc
+    increment = state.growth[work.day_individual] * work.lapse_trunc
     chol, y = ffbs.filter_from_day_sums(
-        prec_sum, weighted, transition, state.drift_precision * work.inv_lapse,
-        work.init_mean - 1.0 / rho, work.init_var, work.theta_start, work.day_theta)
-    state.theta[:] = ffbs.backward_sample(rng, chol, y) + 1.0 / rho
+        prec_sum, weighted, 1.0 - work.constants.rho * increment, increment,
+        state.drift_precision * work.inv_lapse, work.init_mean, work.init_var,
+        work.theta_start, work.day_theta)
+    state.theta[:] = ffbs.backward_sample(rng, chol, y)
 
 
 def _growth_moments(state: LatentState, work: SweepWorkspace):

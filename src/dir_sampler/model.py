@@ -242,8 +242,9 @@ class ModelConstants:
             float(self.sigma) ** 2  # a term of every observation precision
         except OverflowError:
             raise ConfigError(f"sigma {self.sigma} is too large: its square overflows") from None
-        # 1/rho shifts every path, and the growth precision scales as
-        # delta_tmax**2: like a group prior's 1/v, both inverses must be finite
+        # 1/rho is the growth equation's ability asymptote, and the growth
+        # precision scales as delta_tmax**2: like a group prior's 1/v, both
+        # inverses must be finite
         for name, power in (("rho", 1), ("delta_tmax", 2)):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):

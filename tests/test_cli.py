@@ -161,9 +161,10 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
     (("fit", *SHORT_FIT), {"rho": 1e-310}, "rho"),
     (("fit", *SHORT_FIT), {"delta_tmax": 1e-320}, "delta_tmax"),
     (("fit", *SHORT_FIT, "--mode", "online"), None, "--mode"),
-    (("fit", *SHORT_FIT), {"mode": "online"}, "mode"),
+    (("fit", *SHORT_FIT), {"mode": "online"}, "keys: mode"),
     (("online", *SHORT_FIT, "--drift-sd", 0.05, "--chains", 2), None, "--chains"),
-    (("online", *SHORT_FIT, "--drift-sd", 0.05), {"chains": 2}, "chains"),
+    (("online", *SHORT_FIT, "--drift-sd", 0.05), {"chains": 2}, "keys: chains"),
+    (("online", *SHORT_FIT), None, "--drift-sd"),
     (("fit", *SHORT_FIT), {"group_prior": {"g": [0.0, 1.0], "G": [5.0, 0.1]}}, "'G'"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
@@ -174,8 +175,9 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
     or a delta_tmax whose 1/delta_tmax^2 overflows, a sigma whose
     square or a difficulty halfwidth whose double overflows, or a
     setting that the command does not take (fit's chain learns the drift
-    sd; online runs one chain a day), or a group prior for a group the data
-    lacks, ends in exit 3 with a message naming it: no traceback, no silent
+    sd; online runs one chain a day), an on-line run without its drift sd,
+    or a group prior for a group the data lacks, ends in exit 3 with a
+    message naming it: no traceback, no silent
     truncation to an integer, and no value recorded but unused."""
     command, *flags = argv
     if config is not None:
@@ -185,6 +187,18 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
     code, err = run(capsys, command, *data, *flags, "-o", tmp_path / "out")
     assert code == 3
     assert err.startswith("config error:") and named in err
+
+def test_fit_with_a_tiny_rho_writes_finite_ordered_quantiles(data_dir, tmp_path, capsys):
+    """A rho whose 1/rho dwarfs the abilities, even one whose 1/rho**2
+    overflows, is valid: the paths are drawn without a shift by 1/rho."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"rho": 1e-170}))
+    code, err = run(capsys, "fit", data_dir, "--iterations", 60, "--burn-in", 20, "--thin", 2,
+                    "--config", tmp_path / "cfg.json", "-o", tmp_path / "fit")
+    assert code == 0, err
+    q = np.loadtxt(tmp_path / "fit" / "summary.csv", delimiter=",", skiprows=1,
+                   usecols=(3, 4, 5))
+    assert np.all(np.isfinite(q)) and np.all(q[:, 0] <= q[:, 1]) and np.all(q[:, 1] <= q[:, 2])
+
 
 def write_traces(path, header, rows):
     path.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,8 @@ The last day of a prefix dataset gives the filtered marginals; Monte Carlo
 checks the joint law.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,21 @@ def test_backward_sampling_deterministic():
     a = state.theta.copy()
     update_abilities(make_rng(42), state, work)
     assert np.array_equal(a, state.theta)
+
+
+def test_small_rho_leaves_the_abilities_their_digits():
+    """The paths are drawn in theta, not shifted by the asymptote 1/rho, so
+    a rho far below machine epsilon moves the zero-noise draw (the posterior
+    mean) no more than rho itself does."""
+    for seed in range(20):
+        data, constants, state = random_problem(seed)
+        means = []
+        for rho in (1e-12, 1e-17, 1e-100):
+            work = workspace(data, replace(constants, rho=rho), state)
+            update_abilities(FixedNormals(np.zeros(len(state.theta))), state, work)
+            means.append(state.theta.copy())
+        np.testing.assert_allclose(means[1:], [means[0], means[0]], rtol=0, atol=1e-6,
+                                   err_msg=f"seed {seed}")
 
 
 def test_numeric_error_carries_day_context():

@@ -14,7 +14,7 @@ from dir_sampler import inference
 from dir_sampler.errors import DataError
 from dir_sampler.inference import (QUANTILES, ChainOutput, read_traces_csv, write_traces_csv,
                                    _run_chain)
-from dir_sampler.model import propriety_failures, split_keyed
+from dir_sampler.model import propriety_failures, split_keyed, theta_offsets
 from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config
 
 from conftest import build_dataset, mixed_two_test_day, proper_individual, traced_peak
@@ -352,6 +352,33 @@ def test_online_medians_stay_near_the_truth_from_day_six(seed):
         error = (quantiles[1, data.day_start[i] + days - 1]
                  - truth.theta[truth.theta_start[i] + days])
         assert np.all(np.abs(error) < 3.5), (i, np.abs(error).max())
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason="40-sweep day chains do not yet reach the prefix "
+                                       "posterior on every day")
+@pytest.mark.parametrize("seed", [103, 104, 105])
+def test_online_medians_lie_in_a_long_chains_interval_from_day_six(seed):
+    """On the paper design cut to 20 days, with the benchmark's on-line
+    settings, each individual's on-line median for every day t >= 6 lies in
+    the 95% interval of a fresh 2,000-sweep chain on the day-t prefix, both
+    with the drift sd held at the truth: the short on-line chains reach the
+    posterior they estimate."""
+    sim = replace(paper_default_config(seed), days=20)
+    data, _ = simulate_dataset(sim)
+    constants, drift_sd = sim.constants(), sim.drift_precision ** -0.5
+    quantiles, _, _ = fit_online(data, constants, SamplerConfig(
+        n_iterations=40, burn_in=20, thin=1, seed=seed, fixed_drift_sd=drift_sd))
+    long = SamplerConfig(n_iterations=2_000, burn_in=500, thin=1, seed=seed,
+                         fixed_drift_sd=drift_sd)
+    misses = []
+    for t in range(6, int(data.days.max()) + 1):
+        sub = data.individual_prefix(t)
+        reference = _run_chain(sub, constants, long).quantiles[:, theta_offsets(sub)[:-1] + t]
+        median = quantiles[1, data.day_start[:-1] + t - 1]
+        outside = (median < reference[0]) | (median > reference[2])
+        misses += [(t, int(i)) for i in np.flatnonzero(outside)]
+    assert not misses, misses
 
 
 def test_online_mode_fixes_drift_precision():
