@@ -183,13 +183,10 @@ def cmd_validate(args) -> int:
     _dataset_files(Path(args.data_dir))
     data = read_dataset_csv(args.data_dir)
     report = validate_dataset(data)
-    if report.passed:
-        print(f"dataset ok: {data.n_individuals} individuals, {data.n_items} responses")
-        return 0
-    print("dataset fails the propriety gate:", file=sys.stderr)
-    for clause, detail in report.failures:
-        print(f"  violated clause: {clause} ({detail})", file=sys.stderr)
-    return 2
+    if not report.passed:
+        raise ValidationError(report)
+    print(f"dataset ok: {data.n_individuals} individuals, {data.n_items} responses")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def _fit_one_chain(packed):
     inference.write_traces_csv(output, chain_dir / inference.TRACES_FILE)
     inference.write_summary_csv(output.quantiles, output.days,
                                 chain_dir / inference.SUMMARY_FILE)
-    return inference.chain_report(output), output.days, output.n_draws
+    return output.report, output.days, output.n_draws
 
 
 def cmd_fit(args) -> int:
@@ -241,6 +238,7 @@ def cmd_fit(args) -> int:
     chains = cfg.get("chains", 1)
     if chains < 1:
         raise ConfigError("chains must be >= 1")
+    workers = _max_workers(chains) if chains > 1 else 1  # before any output is made
 
     data_dir = Path(args.data_dir)
     checksums = {p.name: _sha256(p) for p in _dataset_files(data_dir)}
@@ -281,7 +279,7 @@ def cmd_fit(args) -> int:
             else:
                 from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
                 import numpy.random  # noqa: F401  # here, so the workers inherit it
-                with ProcessPoolExecutor(max_workers=_max_workers(chains)) as pool:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(_fit_one_chain, packed))
                 _, days, n_draws = results[0]
                 sp = out_dir / inference.SUMMARY_FILE

@@ -34,9 +34,10 @@ _PI_SQ_8 = np.pi ** 2 / 8.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator; the single source of randomness for a chain."""
-    return np.random.Generator(np.random.PCG64(seed))
+def make_rng(*key: int) -> np.random.Generator:
+    """PCG64 generator seeded by ``SeedSequence(key)``; the single source of
+    randomness for a chain.  One integer s gives the stream of PCG64(s)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 @functools.cache

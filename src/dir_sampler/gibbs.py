@@ -166,11 +166,15 @@ def update_abilities(rng: np.random.Generator, state: LatentState,
     state.theta[:] = ffbs.backward_sample(rng, chol, y)
 
 
+def _transition(state: LatentState, work: SweepWorkspace):
+    """Every day's theta_t - theta_{t-1} and 1 - rho theta_{t-1}."""
+    theta_prev = state.theta[work.day_theta_prev]
+    return state.theta[work.day_theta] - theta_prev, 1.0 - work.constants.rho * theta_prev
+
+
 def _growth_moments(state: LatentState, work: SweepWorkspace):
     """Per-individual sufficient statistics of the growth conditional."""
-    theta_prev = state.theta[work.day_theta_prev]
-    diff = state.theta[work.day_theta] - theta_prev
-    u = 1.0 - work.constants.rho * theta_prev
+    diff, u = _transition(state, work)
     x = work.lapse_trunc * u
     starts = work.data.day_start[:-1]
     num = np.add.reduceat(x * diff * work.inv_lapse, starts)
@@ -231,23 +235,31 @@ def _guarded_gamma(rng: np.random.Generator, work: SweepWorkspace, shape, rate_f
     return sample_gamma(rng, shape, rate)
 
 
-def update_test_effect_precision(rng: np.random.Generator, state: LatentState,
-                                 work: SweepWorkspace) -> None:
-    """Gamma draw of each free individual's test-effect precision."""
+def _effect_precision(rng: np.random.Generator, work: SweepWorkspace, shape: np.ndarray,
+                      effects: np.ndarray, starts: np.ndarray, redraw, what: str) -> np.ndarray:
+    """Guarded gamma draw of each free individual's ``what``: the gamma
+    ``shape`` per individual, and the rate half the sum of squares of
+    ``effects`` over each individual's run from ``starts``, which ``redraw``
+    redraws in place."""
     free = work.free
-    shape = (work.tests_per_individual - work.data.days) / 2.0 - 0.5
     bad = np.flatnonzero(free & (shape <= 0.0))
     if bad.size:
-        raise ConfigError(f"test-effect precision shape nonpositive for individual {bad[0]}; "
+        raise ConfigError(f"{what} shape nonpositive for individual {bad[0]}; "
                           "dataset should have been rejected by the validation gate")
 
     def rate():
-        per = np.add.reduceat(state.test_effect ** 2, work.indiv_test_start[:-1])
-        return per[free] / 2.0
+        return np.add.reduceat(effects ** 2, starts)[free] / 2.0
 
-    state.test_effect_precision[free] = _guarded_gamma(
-        rng, work, shape[free], rate, lambda: update_test_effects(rng, state, work),
-        "test-effect precision")
+    return _guarded_gamma(rng, work, shape[free], rate, redraw, what)
+
+
+def update_test_effect_precision(rng: np.random.Generator, state: LatentState,
+                                 work: SweepWorkspace) -> None:
+    """Gamma draw of each free individual's test-effect precision."""
+    state.test_effect_precision[work.free] = _effect_precision(
+        rng, work, (work.tests_per_individual - work.data.days) / 2.0 - 0.5,
+        state.test_effect, work.indiv_test_start[:-1],
+        lambda: update_test_effects(rng, state, work), "test-effect precision")
 
 
 def update_day_effects(rng: np.random.Generator, state: LatentState,
@@ -265,20 +277,9 @@ def update_day_effects(rng: np.random.Generator, state: LatentState,
 def update_day_effect_precision(rng: np.random.Generator, state: LatentState,
                                 work: SweepWorkspace) -> None:
     """Gamma draw of each free individual's day-effect precision."""
-    free = work.free
-    shape = work.data.days / 2.0 - 0.5
-    bad = np.flatnonzero(free & (shape <= 0.0))
-    if bad.size:
-        raise ConfigError(f"day-effect precision shape nonpositive for individual {bad[0]}; "
-                          "dataset should have been rejected by the validation gate")
-
-    def rate():
-        per = np.add.reduceat(state.day_effect ** 2, work.data.day_start[:-1])
-        return per[free] / 2.0
-
-    state.day_effect_precision[free] = _guarded_gamma(
-        rng, work, shape[free], rate, lambda: update_day_effects(rng, state, work),
-        "day-effect precision")
+    state.day_effect_precision[work.free] = _effect_precision(
+        rng, work, work.data.days / 2.0 - 0.5, state.day_effect, work.data.day_start[:-1],
+        lambda: update_day_effects(rng, state, work), "day-effect precision")
 
 
 def update_drift_precision(rng: np.random.Generator, state: LatentState,
@@ -291,10 +292,8 @@ def update_drift_precision(rng: np.random.Generator, state: LatentState,
                           "been rejected by the validation gate")
 
     def rate():
-        theta_prev = state.theta[work.day_theta_prev]
-        resid = (state.theta[work.day_theta] - theta_prev
-                 - state.growth[work.day_individual]
-                 * (1.0 - work.constants.rho * theta_prev) * work.lapse_trunc)
+        diff, u = _transition(state, work)
+        resid = diff - state.growth[work.day_individual] * u * work.lapse_trunc
         return float(np.sum(resid * resid * work.inv_lapse)) / 2.0
 
     state.drift_precision = float(_guarded_gamma(

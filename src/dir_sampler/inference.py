@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .distributions import make_rng
 from .errors import ConfigError, DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
 from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_state,
@@ -54,13 +55,8 @@ class ChainOutput:
     draws: np.ndarray           # (series, draws)
     quantiles: np.ndarray       # (3, series): summarize(draws)
     days: np.ndarray
-    n_iterations: int
-    burn_in: int
-    thin: int
-    wall_time: float
-    ks_accept_rate: float       # accepted share of the mixture-scale proposals
-    guard_redraws: int          # latent blocks redrawn by the gamma-rate guard
-    update_s: dict = field(default_factory=dict)  # update name -> wall seconds
+    iterations: np.ndarray      # (draws,): the sweep of each kept draw
+    report: dict                # the chain's run-report entry (see _run_chain)
 
     @property
     def n_draws(self) -> int:
@@ -128,23 +124,14 @@ def summarize(draws: np.ndarray) -> np.ndarray:
 _summaries = summarize
 
 
-def _stream_seed(*key) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(k) for k in key])
-
-
-def chain_report(output: ChainOutput) -> dict:
-    """A chain's run-report entry: wall time, sweeps, K-S acceptance rate,
-    guard redraws, and the wall seconds of each update over all sweeps."""
-    return {"wall_time_s": output.wall_time, "sweeps": output.n_iterations,
-            "ks_accept_rate": output.ks_accept_rate, "guard_redraws": output.guard_redraws,
-            "update_s": output.update_s}
-
-
 def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
-               seed_seq=None, frozen: np.ndarray | None = None) -> ChainOutput:
-    """Run sweeps from ``initial_state`` and collect thinned draws; the
-    individuals marked ``frozen`` keep their effect precisions at 1, and
-    with ``config.fixed_drift_sd`` set the drift precision stays 1/sd^2."""
+               key: tuple = (), frozen: np.ndarray | None = None) -> ChainOutput:
+    """Run sweeps from ``initial_state`` on the generator seeded by
+    (``config.seed``, *``key``) and collect thinned draws and the run-report
+    entry: wall seconds, sweeps, K-S acceptance rate, guard redraws and the
+    wall seconds of each update over all sweeps.  The individuals marked
+    ``frozen`` keep their effect precisions at 1, and with
+    ``config.fixed_drift_sd`` set the drift precision stays 1/sd^2."""
     start = time.perf_counter()
     n_draws = (config.n_iterations - config.burn_in) // config.thin
     work = SweepWorkspace(data, constants, frozen)
@@ -152,9 +139,7 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
     hold_drift = config.fixed_drift_sd is not None
     if hold_drift:
         state.drift_precision = 1.0 / config.fixed_drift_sd ** 2
-    if seed_seq is None:
-        seed_seq = _stream_seed(config.seed)
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    rng = make_rng(config.seed, *key)
 
     draws = np.empty((len(state.theta) + 3 * data.n_individuals + 1, n_draws))
     theta, growth, day_sd, test_sd, drift_sd = split_keyed(draws, data.n_individuals)
@@ -168,12 +153,12 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
             test_sd[:, k] = state.test_effect_precision ** -0.5
             drift_sd[:, k] = state.drift_precision ** -0.5
             k += 1
-    return ChainOutput(
+    return ChainOutput(  # the wall time, taken last, includes the summary
         draws=draws, quantiles=_summaries(draws), days=data.days.copy(),
-        n_iterations=config.n_iterations, burn_in=config.burn_in, thin=config.thin,
-        wall_time=time.perf_counter() - start,
-        ks_accept_rate=work.ks_accepted / work.ks_proposals,
-        guard_redraws=work.guard_redraws, update_s=work.update_s)
+        iterations=config.burn_in + config.thin * np.arange(1, n_draws + 1),
+        report={"wall_time_s": time.perf_counter() - start, "sweeps": config.n_iterations,
+                "ks_accept_rate": work.ks_accepted / work.ks_proposals,
+                "guard_redraws": work.guard_redraws, "update_s": work.update_s})
 
 
 def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> ChainOutput:
@@ -260,12 +245,12 @@ def fit_online(data: Dataset, constants: ModelConstants, config: SamplerConfig) 
     for t in range(1, int(data.days.max()) + 1):
         sub = data.individual_prefix(t)
         frozen = np.array([bool(mine) for mine in propriety_failures(sub)])
-        output = _run_chain(sub, constants, config, _stream_seed(config.seed, t), frozen)
+        output = _run_chain(sub, constants, config, (t,), frozen)
         live = data.days >= t  # individuals whose day t exists
         day = data.day_start[:-1][live] + t - 1
         quantiles[:, day] = output.quantiles[:, theta_offsets(sub)[:-1][live] + t]
         flagged[day] = frozen[live]
-        refits.append({"day": t, **chain_report(output)})
+        refits.append({"day": t, **output.report})
     return quantiles, flagged, refits
 
 
@@ -284,9 +269,8 @@ TRACE_NAMES = ("theta", "growth", "day_effect_sd", "test_effect_sd", "drift_sd")
 def write_traces_csv(output: ChainOutput, path) -> None:
     """Every kept draw of every scalar as (iteration, value) rows, in the
     keyed layout of ``model.keyed_layout``."""
-    iterations = output.burn_in + output.thin * np.arange(1, output.n_draws + 1)
     write_keyed_csv(path, TRACES_HEADER, TRACE_NAMES, output.days,
-                    (np.column_stack([iterations, row]) for row in output.draws))
+                    (np.column_stack([output.iterations, row]) for row in output.draws))
 
 
 def write_summary_csv(quantiles: np.ndarray, days: np.ndarray, path) -> None:

@@ -236,24 +236,19 @@ class ModelConstants:
     group_prior: Mapping[object, tuple]
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ConfigError("sigma must be finite and > 0")
+        for name in ("sigma", "rho", "delta_tmax"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and > 0")
         try:
             float(self.sigma) ** 2  # a term of every observation precision
         except OverflowError:
             raise ConfigError(f"sigma {self.sigma} is too large: its square overflows") from None
-        # 1/rho is the growth equation's ability asymptote, and the growth
-        # precision scales as delta_tmax**2: like a group prior's 1/v, both
-        # inverses must be finite
-        for name, power in (("rho", 1), ("delta_tmax", 2)):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite and > 0")
-            try:
-                float(value) ** -power
-            except OverflowError:
-                raise ConfigError(f"{name} {value} is too small: "
-                                  f"{name}**-{power} overflows") from None
+        try:
+            float(self.delta_tmax) ** -2  # the growth variance scales as delta_tmax**-2
+        except OverflowError:
+            raise ConfigError(f"delta_tmax {self.delta_tmax} is too small: "
+                              "delta_tmax**-2 overflows") from None
         for label, (mu, v) in self.group_prior.items():
             mu, v = float(mu), float(v)
             if not (v > 0.0 and math.isfinite(v) and math.isfinite(mu)):

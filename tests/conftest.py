@@ -47,13 +47,15 @@ class FixedNormals:
 
 
 def dense_posterior(data: Dataset, state, constants: ModelConstants, upto=None):
-    """Exact N(mean, cov) of every shifted path lam = theta - 1/rho.
+    """Exact N(mean, cov) of every ability path theta.
 
     Assembles the joint precision matrix densely, day by day and item by
     item, from the prior, transition and observation terms, and inverts it.
+    Day t's transition is theta_t = g_t theta_{t-1} + a_t plus noise of
+    precision w_t, with a_t = c min(lapse, horizon) and g_t = 1 - rho a_t;
+    its linear term is w_t a_t at day t and -g_t w_t a_t at day t-1.
     With ``upto`` (one-individual data), only days 0..upto and their data.
     """
-    rho = constants.rho
     psi = 1.0 / (4.0 * state.ks_scale ** 2 + constants.sigma ** 2)
     days = data.days if upto is None else [upto]
     dim = int(np.sum(np.asarray(days) + 1))
@@ -63,19 +65,22 @@ def dense_posterior(data: Dataset, state, constants: ModelConstants, upto=None):
     for i, t_total in enumerate(days):
         init_mean, init_var = constants.prior_for(data.group[i])
         prec[k, k] = 1.0 / init_var
-        lin[k] = (init_mean - 1.0 / rho) / init_var
+        lin[k] = init_mean / init_var
         for t in range(k + 1, k + t_total + 1):
             d = data.day_start[i] + t - k - 1
-            g = 1.0 - state.growth[i] * rho * min(data.lapse[d], constants.delta_tmax)
+            a = state.growth[i] * min(data.lapse[d], constants.delta_tmax)
+            g = 1.0 - constants.rho * a
             w = state.drift_precision / data.lapse[d]
             prec[t, t] += w
             prec[t - 1, t - 1] += g * g * w
             prec[t - 1, t] -= g * w
             prec[t, t - 1] -= g * w
+            lin[t] += w * a
+            lin[t - 1] -= g * w * a
             for s in range(data.test_start[d], data.test_start[d + 1]):
                 for j in range(data.item_start[s], data.item_start[s + 1]):
                     z = (state.latent_utility[j] + data.difficulty[s] - state.day_effect[d]
-                         - state.test_effect[s] - 1.0 / rho)
+                         - state.test_effect[s])
                     prec[t, t] += psi[j]
                     lin[t] += psi[j] * z
         k += t_total + 1

@@ -157,8 +157,8 @@ SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
      "difficulty_halfwidth"),
     (("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1e-320]}}, "group 'g'"),
     (("fit", *SHORT_FIT), {"group_prior": {"g": [1e300, 1e-10]}}, "group 'g'"),
-    (("fit", *SHORT_FIT), {"rho": 1e-320}, "rho"),
-    (("fit", *SHORT_FIT), {"rho": 1e-310}, "rho"),
+    (("fit", *SHORT_FIT), {"rho": 1e400}, "rho"),
+    (("fit", *SHORT_FIT), {"rho": -5e-324}, "rho"),
     (("fit", *SHORT_FIT), {"delta_tmax": 1e-320}, "delta_tmax"),
     (("fit", *SHORT_FIT, "--mode", "online"), None, "--mode"),
     (("fit", *SHORT_FIT), {"mode": "online"}, "keys: mode"),
@@ -171,10 +171,10 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
                                                   config, named):
     """A config or seed value of the wrong type or sign, an infinite one
     (JSON 1e400), a drift sd whose precision 1/sd^2 is 0 or infinite, a
-    group prior whose precision 1/v or mean/v overflows, a rho whose 1/rho
-    or a delta_tmax whose 1/delta_tmax^2 overflows, a sigma whose
-    square or a difficulty halfwidth whose double overflows, or a
-    setting that the command does not take (fit's chain learns the drift
+    group prior whose precision 1/v or mean/v overflows, a delta_tmax whose
+    1/delta_tmax^2 overflows, a sigma whose square or a difficulty
+    halfwidth whose double overflows, or a setting that the command does
+    not take (fit's chain learns the drift
     sd; online runs one chain a day), an on-line run without its drift sd,
     or a group prior for a group the data lacks, ends in exit 3 with a
     message naming it: no traceback, no silent
@@ -189,15 +189,18 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
     assert err.startswith("config error:") and named in err
 
 def test_fit_with_a_tiny_rho_writes_finite_ordered_quantiles(data_dir, tmp_path, capsys):
-    """A rho whose 1/rho dwarfs the abilities, even one whose 1/rho**2
-    overflows, is valid: the paths are drawn without a shift by 1/rho."""
-    (tmp_path / "cfg.json").write_text(json.dumps({"rho": 1e-170}))
-    code, err = run(capsys, "fit", data_dir, "--iterations", 60, "--burn-in", 20, "--thin", 2,
-                    "--config", tmp_path / "cfg.json", "-o", tmp_path / "fit")
-    assert code == 0, err
-    q = np.loadtxt(tmp_path / "fit" / "summary.csv", delimiter=",", skiprows=1,
-                   usecols=(3, 4, 5))
-    assert np.all(np.isfinite(q)) and np.all(q[:, 0] <= q[:, 1]) and np.all(q[:, 1] <= q[:, 2])
+    """A rho whose 1/rho dwarfs the abilities, even one whose 1/rho**2 or
+    1/rho overflows, down to the smallest subnormal, is valid: the paths are
+    drawn without a shift by 1/rho."""
+    for rho in (1e-170, 1e-310, 1e-320, 5e-324):
+        (tmp_path / "cfg.json").write_text(json.dumps({"rho": rho}))
+        out = tmp_path / f"fit{rho}"
+        code, err = run(capsys, "fit", data_dir, "--iterations", 60, "--burn-in", 20,
+                        "--thin", 2, "--config", tmp_path / "cfg.json", "-o", out)
+        assert code == 0, (rho, err)
+        q = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1, usecols=(3, 4, 5))
+        assert np.all(np.isfinite(q)), rho
+        assert np.all(q[:, 0] <= q[:, 1]) and np.all(q[:, 1] <= q[:, 2]), rho
 
 
 def write_traces(path, header, rows):
@@ -296,8 +299,7 @@ def test_summarize_prints_the_coverage_of_each_parameter_quantity(tmp_path, caps
     fit.mkdir()
     inference.write_traces_csv(inference.ChainOutput(
         draws=draws, quantiles=inference.summarize(draws), days=np.array([3, 3]),
-        n_iterations=4, burn_in=0, thin=1, wall_time=0.0, ks_accept_rate=1.0,
-        guard_redraws=0), fit / "traces.csv")
+        iterations=np.arange(1, 5), report={}), fit / "traces.csv")
     (fit / "truth.csv").write_text("\n".join(truth_lines()) + "\n")
     assert cli.main(["summarize", str(fit)]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -617,6 +619,20 @@ def test_no_spill_file_is_left_when_a_chain_or_the_pooling_fails(data_dir, tmp_p
     assert code == 1 and "no space left on device" in err
     assert not list(out.glob("chain_*/" + inference.SPILL_FILE))
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["two", "0"])
+def test_malformed_worker_cap_fails_a_pooled_fit_before_any_output(data_dir, tmp_path, capsys,
+                                                                  monkeypatch, threads):
+    """A DIR_SAMPLER_THREADS that is not a positive integer ends a fit of
+    several chains in exit 3 naming it, before the output directory is
+    made; a one-chain fit, which runs no pool, ignores it."""
+    monkeypatch.setenv("DIR_SAMPLER_THREADS", threads)
+    out = tmp_path / "fit"
+    code, err = run(capsys, "fit", data_dir, *SHORT_FIT, "--chains", 2, "-o", out)
+    assert code == 3 and err.startswith("config error:") and "DIR_SAMPLER_THREADS" in err
+    assert not out.exists()
+    assert run(capsys, "fit", data_dir, *SHORT_FIT, "-o", out)[0] == 0
 
 
 def test_each_chain_writes_what_a_one_chain_fit_with_its_seed_writes(data_dir, tmp_path,

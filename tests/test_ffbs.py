@@ -1,9 +1,9 @@
 """Ability-path update vs an independent dense-Gaussian oracle.
 
 The oracle (``conftest.dense_posterior``) assembles the joint precision
-matrix of the shifted paths lam = theta - 1/rho directly from the prior,
-transition, and observation terms and solves it densely.  The update draws
-lam = U^-1 (y + eps), so a generator stand-in that returns zeros makes it
+matrix of the paths theta directly from the prior, transition, and
+observation terms and solves it densely.  The update draws
+theta = U^-1 (y + eps), so a generator stand-in that returns zeros makes it
 write the exact posterior mean, and one that returns the k-th unit vector
 adds the k-th column of U^-1, whose outer products sum to the covariance.
 The last day of a prefix dataset gives the filtered marginals; Monte Carlo
@@ -30,7 +30,7 @@ def path_problem(z_by_day, psi_by_day, lapse, growth, drift_precision,
                  init_mean, init_var, rho, copies=1):
     """``copies`` identical individuals whose day-t items carry pseudo-data
     z_by_day[t] with observation precisions psi_by_day[t] (difficulties and
-    effects are zero, so each latent utility is z + 1/rho)."""
+    effects are zero, so each latent utility is z)."""
     data = build_dataset([[[[0] * len(z)] for z in z_by_day]] * copies,
                          lapses=[list(lapse)] * copies)
     constants = ModelConstants(sigma=SIGMA, rho=rho, delta_tmax=14.0,
@@ -38,7 +38,7 @@ def path_problem(z_by_day, psi_by_day, lapse, growth, drift_precision,
     state = initial_state(data)
     z = np.tile(np.concatenate(z_by_day), copies)
     psi = np.tile(np.concatenate(psi_by_day), copies)
-    state.latent_utility[:] = z + 1.0 / rho
+    state.latent_utility[:] = z
     state.ks_scale[:] = np.sqrt((1.0 / psi - SIGMA ** 2) / 4.0)
     state.growth[:] = growth
     state.drift_precision = drift_precision
@@ -78,8 +78,8 @@ def workspace(data, constants, state):
 
 
 def update_moments(data, constants, state):
-    """Mean and covariance of the shifted-path draw, read off the update
-    with zero noise and with each unit vector as the noise."""
+    """Mean and covariance of the path draw, read off the update with zero
+    noise and with each unit vector as the noise."""
     work = workspace(data, constants, state)
     n_theta = len(state.theta)
     update_abilities(FixedNormals(np.zeros(n_theta)), state, work)
@@ -88,7 +88,7 @@ def update_moments(data, constants, state):
     for k, unit in enumerate(np.eye(n_theta)):
         update_abilities(FixedNormals(unit), state, work)
         inv_chol[:, k] = state.theta - mean
-    return mean - 1.0 / constants.rho, inv_chol @ inv_chol.T
+    return mean, inv_chol @ inv_chol.T
 
 
 def prefix_moments(data, constants, state, n_days):
@@ -114,12 +114,15 @@ def prefix_moments(data, constants, state, n_days):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_update_mean_and_covariance_match_dense_posterior(seed):
+    """At the drawn rho and at rho = 1e-100, where 1/rho dwarfs the paths."""
     data, constants, state = random_problem(seed)
-    mean_want, cov_want = dense_posterior(data, state, constants)
-    mean, cov = update_moments(data, constants, state)
-    np.testing.assert_allclose(mean, mean_want, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(cov, cov_want, rtol=1e-9,
-                               atol=1e-12 * np.max(np.abs(cov_want)))
+    for rho in (constants.rho, 1e-100):
+        at_rho = replace(constants, rho=rho)
+        mean_want, cov_want = dense_posterior(data, state, at_rho)
+        mean, cov = update_moments(data, at_rho, state)
+        np.testing.assert_allclose(mean, mean_want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cov, cov_want, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(cov_want)))
 
 
 def test_update_consumes_one_normal_per_ability():
@@ -154,8 +157,8 @@ def test_hand_conjugate_instance():
                                           drift_precision=1.0, init_mean=0.0,
                                           init_var=1.0, rho=rho)
     mean, var = prefix_moments(data, constants, state, 1)
-    # two-line conjugate-normal oracle: prior lam_1 ~ N(-1/rho, 2), obs z=2, psi=1
-    prior_mean, prior_var = -1.0 / rho, 2.0
+    # two-line conjugate-normal oracle: prior theta_1 ~ N(0, 2), obs z=2, psi=1
+    prior_mean, prior_var = 0.0, 2.0
     post_var = 1.0 / (1.0 + 1.0 / prior_var)
     post_mean = post_var * (prior_mean / prior_var + 2.0)
     assert var == pytest.approx(post_var, abs=1e-12)
@@ -260,7 +263,7 @@ def test_joint_law_matches_dense_posterior_small():
     kwargs = dict(growth=0.004, drift_precision=4.0, init_mean=0.0, init_var=1.0, rho=0.118)
     data, constants, state = path_problem(*args, **kwargs, copies=n_paths)
     update_abilities(make_rng(5), state, workspace(data, constants, state))
-    paths = state.theta.reshape(n_paths, 4) - 1.0 / constants.rho
+    paths = state.theta.reshape(n_paths, 4)
     one, constants, one_state = path_problem(*args, **kwargs)
     mean, cov = dense_posterior(one, one_state, constants)
     for t in range(4):

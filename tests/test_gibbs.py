@@ -153,7 +153,7 @@ def test_ability_update_matches_dense_oracle():
 
     update_abilities(FixedNormals(np.zeros(len(state.theta))), state, work)
     mean, _ = dense_posterior(data, state, constants)
-    np.testing.assert_allclose(state.theta, mean + 1.0 / constants.rho, rtol=1e-9)
+    np.testing.assert_allclose(state.theta, mean, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,7 @@ def cohort_chain_output(rng, n=200, n_draws=200):
     series of 200 draws."""
     draws = np.concatenate([rng.normal(size=(7 * n, n_draws)), rng.random((3 * n + 1, n_draws))])
     return ChainOutput(draws=draws, quantiles=np.empty((3, 0)), days=np.full(n, 6),
-                       n_iterations=400, burn_in=200, thin=1, wall_time=0.0,
-                       ks_accept_rate=1.0, guard_redraws=0)
+                       iterations=200 + np.arange(1, n_draws + 1), report={})
 
 
 def test_pooled_spills_allocate_a_fraction_of_their_draws(tmp_path):
