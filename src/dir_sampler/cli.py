@@ -44,7 +44,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +63,6 @@ DEFAULT_DELTA_TMAX = 14.0
 DEFAULT_GROUP_PRIOR = (0.0, 1.0)
 RUN_REPORT_FILE = "run_report.json"
 
-_SIM_KEYS = {"n_individuals", "days", "tests_per_day", "items_per_test", "growth",
-             "day_effect_precision", "test_effect_precision", "drift_precision",
-             "sigma", "rho", "delta_tmax", "difficulty_halfwidth", "init_mean",
-             "init_var", "lapse_table", "seed"}
 # fit's and online's config keys: these eight, and fit's chains or online's drift_sd
 _SHARED_KEYS = ("sigma", "rho", "delta_tmax", "group_prior", "iterations", "burn_in", "thin",
                 "seed")
@@ -147,13 +143,11 @@ def _dataset_files(data_dir: Path) -> list:
 
 def cmd_simulate(args) -> int:
     from . import simgen
-    overrides = _load_config(args.config, _SIM_KEYS) if args.config else {}
+    sim_fields = fields(simgen.SimConfig)
+    overrides = _load_config(args.config, {f.name for f in sim_fields}) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    required = {"n_individuals", "days", "tests_per_day", "items_per_test",
-                "growth", "day_effect_precision", "test_effect_precision",
-                "drift_precision", "sigma", "rho", "delta_tmax"}
-    missing = required - set(overrides)
+    missing = {f.name for f in sim_fields if f.default is MISSING} - set(overrides)
     if missing and not args.paper_defaults:
         raise ConfigError("simulate needs --paper-defaults or a config with keys: "
                           + ", ".join(sorted(missing)))

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import ffbs
 from .distributions import sample_gamma, sample_ks, sample_truncated_normal
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .model import Dataset, LatentState, ModelConstants, theta_offsets
 
 
@@ -242,10 +242,6 @@ def _effect_precision(rng: np.random.Generator, work: SweepWorkspace, shape: np.
     ``effects`` over each individual's run from ``starts``, which ``redraw``
     redraws in place."""
     free = work.free
-    bad = np.flatnonzero(free & (shape <= 0.0))
-    if bad.size:
-        raise ConfigError(f"{what} shape nonpositive for individual {bad[0]}; "
-                          "dataset should have been rejected by the validation gate")
 
     def rate():
         return np.add.reduceat(effects ** 2, starts)[free] / 2.0
@@ -285,11 +281,7 @@ def update_day_effect_precision(rng: np.random.Generator, state: LatentState,
 def update_drift_precision(rng: np.random.Generator, state: LatentState,
                            work: SweepWorkspace) -> None:
     """Gamma draw of the shared system-noise precision."""
-    data = work.data
-    shape = np.sum(data.days) / 2.0 - 0.5
-    if shape <= 0.0:
-        raise ConfigError("drift precision shape nonpositive; dataset should have "
-                          "been rejected by the validation gate")
+    shape = np.sum(work.data.days) / 2.0 - 0.5
 
     def rate():
         diff, u = _transition(state, work)
@@ -336,8 +328,6 @@ def _step(name: str, update, rng: np.random.Generator, state: LatentState,
     start = time.perf_counter()
     try:
         update(rng, state, work)
-    except ConfigError:
-        raise
     except (NumericError, ValueError, FloatingPointError) as exc:
         raise NumericError(f"sweep aborted in {name} update: {exc}") from exc
     finally:

@@ -141,7 +141,12 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
         state.drift_precision = 1.0 / config.fixed_drift_sd ** 2
     rng = make_rng(config.seed, *key)
 
-    draws = np.empty((len(state.theta) + 3 * data.n_individuals + 1, n_draws))
+    n_series = len(state.theta) + 3 * data.n_individuals + 1
+    try:
+        draws = np.empty((n_series, n_draws))
+    except (MemoryError, ValueError) as exc:  # too large to allocate, or to index
+        raise ConfigError(f"{n_draws} kept draws of {n_series} series do not fit in "
+                          f"memory: {exc}") from None
     theta, growth, day_sd, test_sd, drift_sd = split_keyed(draws, data.n_individuals)
     k = 0
     for sweep in range(1, config.n_iterations + 1):

@@ -658,6 +658,10 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
     buf, series, last = array("d"), [], None
     first_lead, differ = array("d"), None  # first series' leading fields; first other series
     for rows, line_of in _blocks(path, header, dtype):
+        if not np.all(finite := np.isfinite(rows["value"])):
+            r, c = np.argwhere(~finite)[0]
+            raise DataError(f"{path} line {line_of[r]}: {header[3 + c]} "
+                            f"{rows['value'][r, c]} is not finite")
         keys = rows["key"]
         new = np.empty(len(rows), dtype=bool)
         new[0] = last is None or np.any(keys[0] != last)
@@ -671,17 +675,13 @@ def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
             size = series[1][2] if len(series) > 1 else len(buf) + len(rows)
             first = min(max(size - len(buf), 0), len(rows))
             first_lead.frombytes(lead[:first].tobytes())
-            ref = np.frombuffer(first_lead).reshape(-1, width - 1)
             # a later row's place in its series, were every series as long
             # as the first; when one is not, the length check fails first
-            r = first
-            while r < len(rows) and differ is None:
-                place = (len(buf) + r) % size
-                m = min(size - place, len(rows) - r)
-                if np.any(lead[r:r + m] != ref[place:place + m]):
-                    differ = (len(buf) + r) // size
-                r += m
-            del lead, ref  # a view of the block, and of first_lead, which grows
+            place = np.arange(len(buf) + first, len(buf) + len(rows)) % size
+            ref = np.frombuffer(first_lead).reshape(-1, width - 1)[place]
+            if len(bad := np.flatnonzero(np.any(lead[first:] != ref, axis=1))):
+                differ = (len(buf) + first + bad[0]) // size
+            del lead  # a view of the block
         last = keys[-1].copy()
         buf.frombytes(rows["value"][:, -1].tobytes())
         del rows, keys  # before the next block is read: one at a time

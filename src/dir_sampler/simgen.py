@@ -18,8 +18,8 @@ import numpy as np
 
 from .distributions import make_rng
 from .errors import ConfigError, DataError
-from .model import (Dataset, ModelConstants, _offsets, read_keyed_csv, split_keyed,
-                    theta_offsets, validate_dataset, write_keyed_csv)
+from .model import (CLAUSE_MIXED, Dataset, ModelConstants, _offsets, read_keyed_csv,
+                    split_keyed, theta_offsets, validate_dataset, write_keyed_csv)
 
 SIM_GROUP = "sim"
 TRUTH_FILE = "truth.csv"
@@ -151,9 +151,10 @@ def constrained_test_effects(rng, precision, n_tests: int, size) -> np.ndarray:
 def simulate_dataset(cfg: SimConfig) -> tuple:
     """Generate (Dataset, SimTruth) from the forward model.
 
-    If the propriety gate rejects the realized responses (a near-impossible
-    event for non-degenerate configs), the Bernoulli layer alone is redrawn
-    up to 100 times before giving up.
+    A design that fails a clause of the propriety gate other than
+    ``CLAUSE_MIXED``, the only one that depends on the responses, is a
+    ``ConfigError``; when only that clause fails, the Bernoulli layer alone
+    is redrawn, up to 100 times before giving up.
     """
     rng = make_rng(cfg.seed)
     n, t_total, s, k = cfg.n_individuals, cfg.days, cfg.tests_per_day, cfg.items_per_test
@@ -188,7 +189,10 @@ def simulate_dataset(cfg: SimConfig) -> tuple:
                        items_per_test=np.full(n * t_total * s, k),
                        response=response.reshape(-1), difficulty=difficulty.reshape(-1),
                        lapse=lapse.reshape(-1), group=[SIM_GROUP] * n)
-        if validate_dataset(data).passed or cfg.n_individuals == 1:
+        clauses = dict.fromkeys(clause for clause, _ in validate_dataset(data).failures)
+        if set(clauses) - {CLAUSE_MIXED}:
+            raise ConfigError("the design fails the propriety gate: " + "; ".join(clauses))
+        if not clauses:
             break
     else:
         raise DataError("simulated responses kept failing the propriety gate")

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dir_sampler import Dataset, ModelConstants
+from dir_sampler.model import Dataset, ModelConstants
 
 
 @pytest.fixture

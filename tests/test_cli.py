@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dir_sampler
-from dir_sampler import cli, inference, write_dataset_csv
-from dir_sampler.model import split_keyed
+from dir_sampler import cli, inference
+from dir_sampler.model import split_keyed, write_dataset_csv
 
 from conftest import build_dataset, proper_individual
 
@@ -115,57 +114,110 @@ def test_missing_dataset_file_is_a_config_error(data_dir, capsys, tmp_path, comm
 SHORT_FIT = ("--iterations", 12, "--burn-in", 4, "--thin", 2)
 
 
+# Explicit ids, so that removing a case renames no other; the first 47 keep
+# the ids that pytest once derived from their positions.
 @pytest.mark.parametrize("argv, config, named", [
-    (("fit", *SHORT_FIT), {"iterations": "abc"}, "iterations"),
-    (("fit", "--burn-in", 2, "--thin", 1), {"iterations": 10.7}, "iterations"),
-    (("fit", "--burn-in", 0, "--thin", 1), {"iterations": True}, "iterations"),
-    (("fit", *SHORT_FIT), {"chains": "two"}, "chains"),
-    (("fit", *SHORT_FIT), {"chains": 1.5}, "chains"),
-    (("fit", *SHORT_FIT), {"sigma": "x"}, "sigma"),
-    (("fit", *SHORT_FIT), {"rho": None}, "rho"),
-    (("fit", *SHORT_FIT), {"group_prior": {"g": 5}}, "group_prior"),
-    (("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1, 2]}}, "group_prior"),
-    (("online", *SHORT_FIT), {"drift_sd": "x"}, "drift_sd"),
-    (("fit", *SHORT_FIT, "--seed", -1), None, "seed"),
-    (("simulate", "--paper-defaults", "--seed", -1), None, "seed"),
-    (("simulate", "--paper-defaults"), {"growth": "x"}, "'x'"),
-    (("simulate", "--paper-defaults"), {"days": "x"}, "days"),
-    (("simulate", "--paper-defaults"), {"difficulty_halfwidth": -1}, "difficulty_halfwidth"),
-    (("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e400}, "difficulty_halfwidth"),
-    (("simulate", "--paper-defaults"), {"drift_precision": 1e400}, "drift_precision"),
-    (("simulate", "--paper-defaults"), {"sigma": 1e400}, "sigma"),
-    (("simulate", "--paper-defaults"), {"rho": 1e400}, "rho"),
-    (("simulate", "--paper-defaults"), {"delta_tmax": 1e400}, "delta_tmax"),
-    (("simulate", "--paper-defaults"), {"init_var": 1e400}, "init_var"),
-    (("simulate", "--paper-defaults"), {"init_mean": 1e400}, "init_mean"),
-    (("simulate", "--paper-defaults"), {"growth": [1e400] * 10}, "growth"),
-    (("simulate", "--paper-defaults"), {"day_effect_precision": [1e400] * 10},
-     "day_effect_precision"),
-    (("simulate", "--paper-defaults"), {"test_effect_precision": [1e400] * 10},
-     "test_effect_precision"),
-    (("simulate", "--paper-defaults"), {"lapse_table": [[1e400] * 50] * 10}, "lapse_table"),
-    (("fit", *SHORT_FIT), {"delta_tmax": 1e400}, "delta_tmax"),
-    (("fit", *SHORT_FIT, "--drift-sd", 0.05), None, "--drift-sd"),
-    (("fit", *SHORT_FIT), {"drift_sd": 0.05}, "drift_sd"),
-    (("online", *SHORT_FIT, "--drift-sd", 1e-200), None, "drift_sd"),
-    (("online", *SHORT_FIT, "--drift-sd", 1e200), None, "drift_sd"),
-    (("fit", *SHORT_FIT), {"group_prior": [1, 2]}, "group_prior"),
-    (("fit", *SHORT_FIT), {"group_prior": "abc"}, "group_prior"),
-    (("fit", *SHORT_FIT), {"sigma": 1e200}, "sigma"),
-    (("online", *SHORT_FIT, "--drift-sd", 0.05), {"sigma": 1e200}, "sigma"),
-    (("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e308},
-     "difficulty_halfwidth"),
-    (("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1e-320]}}, "group 'g'"),
-    (("fit", *SHORT_FIT), {"group_prior": {"g": [1e300, 1e-10]}}, "group 'g'"),
-    (("fit", *SHORT_FIT), {"rho": 1e400}, "rho"),
-    (("fit", *SHORT_FIT), {"rho": -5e-324}, "rho"),
-    (("fit", *SHORT_FIT), {"delta_tmax": 1e-320}, "delta_tmax"),
-    (("fit", *SHORT_FIT, "--mode", "online"), None, "--mode"),
-    (("fit", *SHORT_FIT), {"mode": "online"}, "keys: mode"),
-    (("online", *SHORT_FIT, "--drift-sd", 0.05, "--chains", 2), None, "--chains"),
-    (("online", *SHORT_FIT, "--drift-sd", 0.05), {"chains": 2}, "keys: chains"),
-    (("online", *SHORT_FIT), None, "--drift-sd"),
-    (("fit", *SHORT_FIT), {"group_prior": {"g": [0.0, 1.0], "G": [5.0, 0.1]}}, "'G'"),
+    pytest.param(("fit", *SHORT_FIT), {"iterations": "abc"}, "iterations",
+                 id="argv0-config0-iterations"),
+    pytest.param(("fit", "--burn-in", 2, "--thin", 1), {"iterations": 10.7}, "iterations",
+                 id="argv1-config1-iterations"),
+    pytest.param(("fit", "--burn-in", 0, "--thin", 1), {"iterations": True}, "iterations",
+                 id="argv2-config2-iterations"),
+    pytest.param(("fit", *SHORT_FIT), {"chains": "two"}, "chains",
+                 id="argv3-config3-chains"),
+    pytest.param(("fit", *SHORT_FIT), {"chains": 1.5}, "chains",
+                 id="argv4-config4-chains"),
+    pytest.param(("fit", *SHORT_FIT), {"sigma": "x"}, "sigma",
+                 id="argv5-config5-sigma"),
+    pytest.param(("fit", *SHORT_FIT), {"rho": None}, "rho",
+                 id="argv6-config6-rho"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": {"g": 5}}, "group_prior",
+                 id="argv7-config7-group_prior"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1, 2]}}, "group_prior",
+                 id="argv8-config8-group_prior"),
+    pytest.param(("online", *SHORT_FIT), {"drift_sd": "x"}, "drift_sd",
+                 id="argv9-config9-drift_sd"),
+    pytest.param(("fit", *SHORT_FIT, "--seed", -1), None, "seed",
+                 id="argv10-None-seed"),
+    pytest.param(("simulate", "--paper-defaults", "--seed", -1), None, "seed",
+                 id="argv11-None-seed"),
+    pytest.param(("simulate", "--paper-defaults"), {"growth": "x"}, "'x'",
+                 id="argv12-config12-'x'"),
+    pytest.param(("simulate", "--paper-defaults"), {"days": "x"}, "days",
+                 id="argv13-config13-days"),
+    pytest.param(("simulate", "--paper-defaults"), {"difficulty_halfwidth": -1},
+                 "difficulty_halfwidth", id="argv14-config14-difficulty_halfwidth"),
+    pytest.param(("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e400},
+                 "difficulty_halfwidth", id="argv15-config15-difficulty_halfwidth"),
+    pytest.param(("simulate", "--paper-defaults"), {"drift_precision": 1e400}, "drift_precision",
+                 id="argv16-config16-drift_precision"),
+    pytest.param(("simulate", "--paper-defaults"), {"sigma": 1e400}, "sigma",
+                 id="argv17-config17-sigma"),
+    pytest.param(("simulate", "--paper-defaults"), {"rho": 1e400}, "rho",
+                 id="argv18-config18-rho"),
+    pytest.param(("simulate", "--paper-defaults"), {"delta_tmax": 1e400}, "delta_tmax",
+                 id="argv19-config19-delta_tmax"),
+    pytest.param(("simulate", "--paper-defaults"), {"init_var": 1e400}, "init_var",
+                 id="argv20-config20-init_var"),
+    pytest.param(("simulate", "--paper-defaults"), {"init_mean": 1e400}, "init_mean",
+                 id="argv21-config21-init_mean"),
+    pytest.param(("simulate", "--paper-defaults"), {"growth": [1e400] * 10}, "growth",
+                 id="argv22-config22-growth"),
+    pytest.param(("simulate", "--paper-defaults"), {"day_effect_precision": [1e400] * 10},
+                 "day_effect_precision", id="argv23-config23-day_effect_precision"),
+    pytest.param(("simulate", "--paper-defaults"), {"test_effect_precision": [1e400] * 10},
+                 "test_effect_precision", id="argv24-config24-test_effect_precision"),
+    pytest.param(("simulate", "--paper-defaults"), {"lapse_table": [[1e400] * 50] * 10},
+                 "lapse_table", id="argv25-config25-lapse_table"),
+    pytest.param(("fit", *SHORT_FIT), {"delta_tmax": 1e400}, "delta_tmax",
+                 id="argv26-config26-delta_tmax"),
+    pytest.param(("fit", *SHORT_FIT, "--drift-sd", 0.05), None, "--drift-sd",
+                 id="argv27-None---drift-sd"),
+    pytest.param(("fit", *SHORT_FIT), {"drift_sd": 0.05}, "drift_sd",
+                 id="argv28-config28-drift_sd"),
+    pytest.param(("online", *SHORT_FIT, "--drift-sd", 1e-200), None, "drift_sd",
+                 id="argv29-None-drift_sd"),
+    pytest.param(("online", *SHORT_FIT, "--drift-sd", 1e200), None, "drift_sd",
+                 id="argv30-None-drift_sd"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": [1, 2]}, "group_prior",
+                 id="argv31-config31-group_prior"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": "abc"}, "group_prior",
+                 id="argv32-config32-group_prior"),
+    pytest.param(("fit", *SHORT_FIT), {"sigma": 1e200}, "sigma",
+                 id="argv33-config33-sigma"),
+    pytest.param(("online", *SHORT_FIT, "--drift-sd", 0.05), {"sigma": 1e200}, "sigma",
+                 id="argv34-config34-sigma"),
+    pytest.param(("simulate", "--paper-defaults"), {"difficulty_halfwidth": 1e308},
+                 "difficulty_halfwidth", id="argv35-config35-difficulty_halfwidth"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": {"g": [0, 1e-320]}}, "group 'g'",
+                 id="argv36-config36-group 'g'"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": {"g": [1e300, 1e-10]}}, "group 'g'",
+                 id="argv37-config37-group 'g'"),
+    pytest.param(("fit", *SHORT_FIT), {"rho": 1e400}, "rho",
+                 id="argv38-config38-rho"),
+    pytest.param(("fit", *SHORT_FIT), {"rho": -5e-324}, "rho",
+                 id="argv39-config39-rho"),
+    pytest.param(("fit", *SHORT_FIT), {"delta_tmax": 1e-320}, "delta_tmax",
+                 id="argv40-config40-delta_tmax"),
+    pytest.param(("fit", *SHORT_FIT, "--mode", "online"), None, "--mode",
+                 id="argv41-None---mode"),
+    pytest.param(("fit", *SHORT_FIT), {"mode": "online"}, "keys: mode",
+                 id="argv42-config42-keys: mode"),
+    pytest.param(("online", *SHORT_FIT, "--drift-sd", 0.05, "--chains", 2), None, "--chains",
+                 id="argv43-None---chains"),
+    pytest.param(("online", *SHORT_FIT, "--drift-sd", 0.05), {"chains": 2}, "keys: chains",
+                 id="argv44-config44-keys: chains"),
+    pytest.param(("online", *SHORT_FIT), None, "--drift-sd",
+                 id="argv45-None---drift-sd"),
+    pytest.param(("fit", *SHORT_FIT), {"group_prior": {"g": [0.0, 1.0], "G": [5.0, 0.1]}}, "'G'",
+                 id="argv46-config46-'G'"),
+    pytest.param(("simulate", "--paper-defaults"), {"days": 20, "tests_per_day": 1},
+                 "at least two days with S_{i,t} ≥ 2", id="simulate-one-test-a-day"),
+    pytest.param(("simulate", "--paper-defaults"),
+                 {"n_individuals": 1, "growth": [0.005], "day_effect_precision": [2.0],
+                  "test_effect_precision": [4.0]}, "n ≥ 2", id="simulate-one-individual"),
+    pytest.param(("fit", "--iterations", 10 ** 15, "--burn-in", 0, "--thin", 1), None,
+                 "kept draws", id="fit-draws-beyond-memory"),
 ])
 def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, argv,
                                                   config, named):
@@ -176,9 +228,11 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
     halfwidth whose double overflows, or a setting that the command does
     not take (fit's chain learns the drift
     sd; online runs one chain a day), an on-line run without its drift sd,
-    or a group prior for a group the data lacks, ends in exit 3 with a
-    message naming it: no traceback, no silent
-    truncation to an integer, and no value recorded but unused."""
+    or a group prior for a group the data lacks, a simulated design that
+    fails a propriety clause whatever its responses, or a chain whose kept
+    draws cannot be allocated, ends in exit 3 with a message naming it: no
+    traceback, no silent truncation to an integer, and no value recorded
+    but unused."""
     command, *flags = argv
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -187,6 +241,7 @@ def test_malformed_config_value_is_a_config_error(data_dir, tmp_path, capsys, ar
     code, err = run(capsys, command, *data, *flags, "-o", tmp_path / "out")
     assert code == 3
     assert err.startswith("config error:") and named in err
+
 
 def test_fit_with_a_tiny_rho_writes_finite_ordered_quantiles(data_dir, tmp_path, capsys):
     """A rho whose 1/rho dwarfs the abilities, even one whose 1/rho**2 or
@@ -224,7 +279,7 @@ def test_summarize_rejects_undecodable_traces(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row, line", [("theta,1,0,x,0.5", 3), ("theta,1,0", 3),
-                                       ("theta,1,zero,3,0.5", 3)])
+                                       ("theta,1,zero,3,0.5", 3), ("theta,1,0,2,nan", 3)])
 def test_summarize_rejects_bad_traces_row(tmp_path, capsys, row, line):
     write_traces(tmp_path / "fit", "quantity,individual,day,iteration,value",
                  ["theta,1,0,1,0.5", row])
@@ -543,14 +598,6 @@ def test_no_stage_loads_scipy_special(tmp_path):
                           "dir_sampler.gibbs": stage not in ("validate", "simulate"),
                           "dir_sampler.inference": stage not in ("validate", "simulate"),
                           "dir_sampler.simgen": stage in ("simulate", "summarize")}, stage
-
-
-def test_every_name_in_all_resolves():
-    """The package re-exports its names lazily; each one resolves."""
-    for name in dir_sampler.__all__:
-        getattr(dir_sampler, name)
-    with pytest.raises(AttributeError):
-        dir_sampler.no_such_name
 
 
 def test_two_chain_summary_pools_the_chains_traces(data_dir, tmp_path, capsys):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import erfc, kolmogi
 
-from dir_sampler import (ks_quantile, make_rng, normal_isf, sample_gamma, sample_ks,
-                         sample_truncated_normal)
-from dir_sampler.distributions import scipy_extension
+from dir_sampler.distributions import (ks_quantile, make_rng, normal_isf, sample_gamma,
+                                       sample_ks, sample_truncated_normal, scipy_extension)
 
 from conftest import mc_se_mean
 

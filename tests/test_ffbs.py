@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dir_sampler import (ModelConstants, NumericError, SweepWorkspace, initial_state,
-                         make_rng)
-from dir_sampler.gibbs import update_abilities
+from dir_sampler.distributions import make_rng
+from dir_sampler.errors import NumericError
+from dir_sampler.gibbs import SweepWorkspace, update_abilities
+from dir_sampler.model import ModelConstants, initial_state
 
 from conftest import FixedNormals, build_dataset, dense_posterior
 

@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dir_sampler import (ConfigError, ModelConstants, NumericError, SweepWorkspace,
-                         gibbs_sweep, initial_state, make_rng, paper_default_config,
-                         sample_ks, simulate_dataset)
-from dir_sampler.gibbs import (update_abilities, update_day_effect_precision,
-                               update_day_effects, update_drift_precision,
-                               update_growth, update_ks_scales,
+from dir_sampler.distributions import make_rng, sample_ks
+from dir_sampler.errors import NumericError
+from dir_sampler.gibbs import (SweepWorkspace, gibbs_sweep, update_abilities,
+                               update_day_effect_precision, update_day_effects,
+                               update_drift_precision, update_growth, update_ks_scales,
                                update_latent_utilities, update_test_effect_precision,
                                update_test_effects, _growth_moments)
-from dir_sampler.simgen import SimConfig
+from dir_sampler.model import ModelConstants, initial_state
+from dir_sampler.simgen import SimConfig, paper_default_config, simulate_dataset
 
 from conftest import (FixedNormals, build_dataset, dense_posterior,
                       dense_test_effect_conditional, mc_se_mean, mc_se_var, proper_individual,
@@ -290,9 +290,12 @@ def test_test_effect_draw_matches_dense_constrained_conditional(seed):
 # ---------------------------------------------------------------------------
 
 def test_test_effect_precision_shape_gate():
-    # T=2 with single-test days: shape (sum S - (T+1))/2 = -1/2
+    """T=2 with single-test days: shape (sum S - (T+1))/2 = -1/2, which the
+    gate rejects before any chain starts.  Called directly, the update finds
+    every test effect 0 (a single-test day's closes its sum), so its rate
+    stays 0 after the redraw."""
     data, work, state = frozen_setup([[[[1]], [[0]]]])
-    with pytest.raises(ConfigError):
+    with pytest.raises(NumericError, match="gamma rate degenerate after block redraw"):
         update_test_effect_precision(make_rng(0), state, work)
 
 

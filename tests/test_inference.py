@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dir_sampler import (ConfigError, ModelConstants, SamplerConfig, ValidationError,
-                         ability_coverage, fit, fit_online, parameter_coverage,
-                         simulate_dataset, summarize)
 from dir_sampler import inference
-from dir_sampler.errors import DataError
-from dir_sampler.inference import (QUANTILES, ChainOutput, read_traces_csv, write_traces_csv,
-                                   _run_chain)
-from dir_sampler.model import propriety_failures, split_keyed, theta_offsets
-from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config
+from dir_sampler.errors import ConfigError, DataError, ValidationError
+from dir_sampler.inference import (QUANTILES, ChainOutput, ability_coverage, fit, fit_online,
+                                   parameter_coverage, read_traces_csv, summarize,
+                                   write_traces_csv, _run_chain)
+from dir_sampler.model import (ModelConstants, SamplerConfig, propriety_failures, split_keyed,
+                               theta_offsets)
+from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config, simulate_dataset
 
 from conftest import build_dataset, mixed_two_test_day, proper_individual, traced_peak
 

@@ -13,10 +13,13 @@ objective priors (flat on positive growth, x^(-3/2) on each precision).
 Stein's identities then hold under the posterior pi (Gorham & Mackey 2015,
 "Measuring sample quality with Stein's method"): E[d log pi / d x] = 0 for
 a coordinate x on the real line, and E[x d log pi / d x + 1] = 0 for a
-positive one with a flat or power prior.  A running sweep must satisfy
+positive one with a flat or power prior; for a day's sum-zero test
+effects, the gradient projected onto the day's sum-zero space (its
+coordinates less their mean) has mean 0.  A running sweep must satisfy
 them for every path coordinate and for each individual's whole path (the
-sum of its coordinates' terms, a shift of the path), and for growth, the
-drift precision and both effect precisions; their means over a chain are
+sum of its coordinates' terms, a shift of the path), for every day effect
+and test effect, and for growth, the drift precision and both effect
+precisions; their means over a chain are
 scored against batch means standard errors.  A coordinate drawn exactly
 from a conditional of pi
 satisfies its identity automatically, so each identity checks that its
@@ -27,8 +30,10 @@ the paths are drawn given it while pi integrates it out.
 
 import numpy as np
 
-from dir_sampler import (SimConfig, SweepWorkspace, gibbs_sweep, initial_state, make_rng,
-                         simulate_dataset)
+from dir_sampler.distributions import make_rng
+from dir_sampler.gibbs import SweepWorkspace, gibbs_sweep
+from dir_sampler.model import initial_state
+from dir_sampler.simgen import SimConfig, simulate_dataset
 
 from conftest import batch_means_se
 
@@ -67,9 +72,10 @@ def binomial_slope(m, k, sigma):
 def identity_terms(cfg, data, state):
     """Per unknown, the term whose posterior mean is 0: d log pi / d theta
     for every path coordinate (individual by individual, days 0..T) and
-    their sum per individual, then x d log pi / d x + 1 for each growth
-    rate, day-effect precision and test-effect precision, and the drift
-    precision."""
+    their sum per individual, d log pi / d delta for every day effect, the
+    projected d log pi / d eta for every test effect, then x d log pi / d x
+    + 1 for each growth rate, day-effect precision and test-effect
+    precision, and the drift precision."""
     theta = state.theta.reshape(N_IND, N_DAYS + 1)
     growth = state.growth[:, None]
     lapse = data.lapse.reshape(N_IND, N_DAYS)
@@ -88,7 +94,15 @@ def identity_terms(cfg, data, state):
     d_theta[:, 1:] -= w * resid
     d_theta[:, :-1] += w * resid * (1.0 - cfg.rho * growth * horizon)
     mean = (theta[:, 1:, None] - data.difficulty.reshape(test.shape) + day[..., None] + test)
-    d_theta[:, 1:] += binomial_slope(mean, correct, cfg.sigma).sum(axis=2)
+    slope = binomial_slope(mean, correct, cfg.sigma)  # d log likelihood / d test mean
+    day_slope = slope.sum(axis=2)
+    d_theta[:, 1:] += day_slope
+
+    # day effects ~ N(0, 1/tau_delta); a day's test effects ~ N(0, 1/tau_eta)
+    # on its sum-zero space, so their gradient is projected onto that space
+    d_day = day_slope - state.day_effect_precision[:, None] * day
+    d_test = slope - state.test_effect_precision[:, None, None] * test
+    d_test -= d_test.mean(axis=2, keepdims=True)
 
     # flat prior on growth; x^(-3/2) on each precision; the sum-zero test
     # effects of a day have S - 1 free coordinates
@@ -99,8 +113,8 @@ def identity_terms(cfg, data, state):
                  - state.test_effect_precision * np.sum(test ** 2, axis=(1, 2)) / 2.0)
     drift_term = (N_IND * N_DAYS / 2.0 - 0.5
                   - state.drift_precision * np.sum(resid ** 2 / lapse) / 2.0)
-    return np.concatenate([d_theta.ravel(), d_theta.sum(axis=1), growth_term, day_term,
-                           test_term, [drift_term]])
+    return np.concatenate([d_theta.ravel(), d_theta.sum(axis=1), d_day.ravel(), d_test.ravel(),
+                           growth_term, day_term, test_term, [drift_term]])
 
 
 def identity_z_scores(seed, n_kept=4_000, burn_in=500):
@@ -129,9 +143,12 @@ def identity_z_scores(seed, n_kept=4_000, burn_in=500):
 
 
 def test_sweep_satisfies_the_score_identities_of_the_joint_posterior():
-    """All 49 identities within 4.5 standard errors over 4,000 sweeps.  On
-    data seeds 1-40 the largest |z| was 1.2-3.5.  On this seed a psi of
-    1/(sigma^2 + 3 nu^2) in place of 4 nu^2 moves a path sum to |z| 6.4, and
-    a growth update with the untruncated lapse moves a growth term to 19."""
+    """All 166 identities within 4.5 standard errors over 4,000 sweeps.  On
+    data seeds 1-40 the largest |z| was 2.2-4.7: only seed 32 exceeded 4.5,
+    by a test-effect term at 4.73, and its largest |z| over 16,000 sweeps was
+    3.75.  On this seed a psi of 1/(sigma^2 + 3 nu^2) in place of 4 nu^2
+    moves a path sum to |z| 6.4, a growth update with the untruncated lapse
+    moves a growth term to 19, and a test-effect update with half of tau_eta
+    in its precision moves a test-effect term to 17."""
     z = identity_z_scores(1)
     assert np.abs(z).max() <= Z_BOUND, np.round(z, 1).tolist()

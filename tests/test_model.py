@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dir_sampler import (ConfigError, DataError, Dataset, ModelConstants,
-                         SamplerConfig, fit, fit_online, initial_state, read_dataset_csv,
-                         simulate_dataset, validate_dataset, write_dataset_csv)
+from dir_sampler.errors import ConfigError, DataError
+from dir_sampler.inference import fit, fit_online
 from dir_sampler.model import (_BLOCK_ROWS, CLAUSE_DAYS, CLAUSE_MIXED,
-                               CLAUSE_MULTITEST_DAYS, CLAUSE_N, CLAUSE_TEST_SHAPE,
-                               keyed_layout, read_keyed_csv, write_keyed_csv)
-from dir_sampler.simgen import SimConfig, paper_default_config
+                               CLAUSE_MULTITEST_DAYS, CLAUSE_N, CLAUSE_TEST_SHAPE, Dataset,
+                               ModelConstants, SamplerConfig, initial_state, keyed_layout,
+                               read_dataset_csv, read_keyed_csv, validate_dataset,
+                               write_dataset_csv, write_keyed_csv)
+from dir_sampler.simgen import SimConfig, paper_default_config, simulate_dataset
 
 from conftest import build_dataset, proper_individual, traced_peak
 
@@ -512,10 +513,11 @@ def test_read_keyed_csv_reads_a_last_block_of_one_line(tmp_path):
     (set_line(17000, "th\u20acta,1,11,1,2"),
      "line 17000: quantity 'th\u20acta' is not Latin-1 text"),
     (set_line(17000, "theta,1,11,1,\udcff"), "keyed.csv: 'utf-8' codec can't decode byte 0xff"),
+    (set_line(17000, "theta,1,11,1,-inf"), "line 17000: value -inf is not finite"),
 ], ids=["bad-value", "short-row", "long-row-ending-a-block", "bad-value-first-line",
         "bad-value-after-a-block-of-blank-lines", "out-of-order-after-blank-lines",
         "comment", "over-long-key", "key-beyond-the-field-width", "nul", "quoted-line-break",
-        "key-beyond-latin-1", "undecodable"])
+        "key-beyond-latin-1", "undecodable", "non-finite-value"])
 def test_read_keyed_csv_names_the_line_at_fault(tmp_path, edit, message):
     keyed_file(tmp_path / "keyed.csv", 1100, edit)
     with pytest.raises(DataError, match=re.escape(message)):

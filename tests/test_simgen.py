@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from dir_sampler import ConfigError, make_rng, read_truth_csv, simulate_dataset, \
-    validate_dataset, write_truth_csv
-from dir_sampler.simgen import (SimConfig, constrained_test_effects,
-                                paper_default_config, paper_lapse_schedule)
+from dir_sampler.distributions import make_rng
+from dir_sampler.errors import ConfigError
+from dir_sampler.model import validate_dataset
+from dir_sampler.simgen import (SimConfig, constrained_test_effects, paper_default_config,
+                                paper_lapse_schedule, read_truth_csv, simulate_dataset,
+                                write_truth_csv)
 
 from conftest import mc_se_mean
 
