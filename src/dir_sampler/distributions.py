@@ -6,10 +6,10 @@ order.  The truncated-normal and Kolmogorov-Smirnov samplers are written
 against uniforms from that generator so draw sequences are reproducible
 across platforms.  Both quantiles are computed here in numpy: the
 Kolmogorov-Smirnov one (``ks_quantile``) by Newton steps, the normal one
-(``normal_isf``) by Wichura's rational approximation.  The truncated
-normal's ``erfc`` is scipy's compiled ufunc, loaded on first use straight
-from its extension module (``scipy_extension``), so no process imports the
-``scipy`` package.
+(``normal_isf``) by Wichura's rational approximation; ``sample_ks`` inverts
+the first only where its table of equal-probability cells rejects.  The
+truncated normal's ``erfc``, scipy's compiled ufunc, is loaded on first use
+from its extension module (``scipy_extension``), not the ``scipy`` package.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ _TINY = np.nextafter(0.0, 1.0)
 _KS_SPLIT = 0.7300003283226455
 _PI_SQ_8 = np.pi ** 2 / 8.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_KS_CELLS = 4096  # sample_ks's equal-probability cells
 
 
 def make_rng(*key: int) -> np.random.Generator:
@@ -142,17 +143,16 @@ def normal_isf(p, out=None) -> np.ndarray:
 
 
 def _sample_tail_std(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
-    """Draw standard normals conditioned to (alpha, inf) for alpha > 4 by
-    Robert-style exponential rejection, whose acceptance rate is bounded
-    away from zero there (it increases towards 1 as alpha grows)."""
-    lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
+    """The excess z - alpha of standard normals z conditioned to (alpha, inf),
+    alpha > 4, by Robert-style exponential rejection (acceptance rising to 1
+    with alpha); lambda - alpha = 1/lambda, so nothing squares or cancels alpha."""
+    lam = 0.5 * (alpha + np.hypot(alpha, 2.0))
     x = np.empty_like(alpha)
     pending = np.arange(alpha.size)
     for _ in range(10_000):
         e = rng.exponential(1.0 / lam[pending])
-        cand = alpha[pending] + e
-        acc = rng.random(pending.shape) <= np.exp(-0.5 * (cand - lam[pending]) ** 2)
-        x[pending[acc]] = cand[acc]
+        acc = rng.random(pending.shape) <= np.exp(-0.5 * (e - 1.0 / lam[pending]) ** 2)
+        x[pending[acc]] = e[acc]
         pending = pending[~acc]
         if pending.size == 0:
             return x
@@ -198,7 +198,7 @@ def sample_truncated_normal(rng: np.random.Generator, mean, variance, out=None):
     draw += loc
     if np.any(tail):
         sd = np.sqrt(variance[tail])
-        draw[tail] = loc[tail] + sd * _sample_tail_std(rng, -loc[tail] / sd)
+        draw[tail] = sd * _sample_tail_std(rng, -loc[tail] / sd)
     # keep draws inside the open support even when rounding collapses
     # mean + sd*z to exactly zero
     np.maximum(draw, _TINY, out=draw)
@@ -305,7 +305,65 @@ def ks_quantile(u) -> np.ndarray:
     return x.reshape(u.shape)
 
 
-def sample_ks(rng: np.random.Generator, size) -> np.ndarray:
-    """Draw an array of ``size`` from the Kolmogorov-Smirnov law by
-    inversion: one uniform per draw, mapped through ``ks_quantile``."""
-    return ks_quantile(rng.random(size))
+def _ks_density(x: np.ndarray) -> np.ndarray:
+    """Kolmogorov-Smirnov density at x > 0: Jacobi's series sqrt(2 pi) y Sum
+    (2ay - 1) exp(-ay), y = 1/x^2, a = (2k - 1)^2 pi^2/8, below 1 and 8x Sum
+    (-1)^(k+1) k^2 exp(-2 k^2 x^2) above; k = 1..4 leaves out < 1e-19 of either."""
+    k = np.arange(1.0, 5.0)[:, None]
+    y = np.minimum(x, 1.0) ** -2.0
+    a = (2.0 * k - 1.0) ** 2 * _PI_SQ_8 * y
+    lower = np.sqrt(2.0 * np.pi) * y * ((2.0 * a - 1.0) * np.exp(-a)).sum(axis=0)
+    x = np.maximum(x, 1.0)
+    upper = 8.0 * x * ((-1.0) ** (k + 1.0) * k * k * np.exp(-2.0 * k * k * x * x)).sum(axis=0)
+    return np.where(x > 1.0, upper, lower)
+
+
+@functools.cache
+def _ks_table(cells: int) -> np.ndarray:
+    """``sample_ks``'s rows (edge, width, top, squeeze): cell j is edge_j +
+    [0, width_j] = [ks_quantile(j/N), ks_quantile((j + 1)/N)], on which
+    squeeze_j top_j <= f <= top_j, with 1e-9 relative slack.  End cells have
+    width 0 at their inner edge and squeeze -1."""
+    edge, width, top, squeeze = table = np.zeros((4, cells))
+    edge[:] = ks_quantile(np.maximum(np.arange(cells), 1) / cells)
+    width[1:-1] = np.diff(edge[1:])
+    f = _ks_density(edge[1:])
+    top[1:-1] = np.maximum(f[:-1], f[1:])
+    m = int(np.argmax(f)) + 1  # f is unimodal: its mode is in cell m - 1 or m
+    grid = edge[m - 1:m + 2]
+    for _ in range(8):
+        i = np.argmax(dens := _ks_density(grid := np.linspace(grid[0], grid[-1], 33)))
+        grid = grid[[max(i - 1, 0), min(i + 1, 32)]]
+    top[m - 1:m + 1] = dens[i]
+    top *= 1.0 + 1e-9
+    squeeze[1:-1] = np.minimum(f[:-1], f[1:]) * (1.0 - 1e-9) / top[1:-1]
+    squeeze[[0, -1]] = -1.0
+    return table
+
+
+def sample_ks(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` exact Kolmogorov-Smirnov draws by table-driven rejection with a
+    squeeze (Devroye 1986, Non-Uniform Random Variate Generation, II.3-4): a
+    uniform u picks one of N = 4,096 equal-probability cells, j = floor(uN),
+    and the candidate edge_j + v width_j, v = uN - j; a second uniform w
+    accepts it if w <= squeeze_j (99.7% of draws) or w top_j <= f(candidate);
+    else the draw is ks_quantile((j + v')/N), v' a fresh uniform.  An end
+    cell's draw is ks_quantile(u).  Given its cell, each draw follows f on it,
+    so the law is exact with no retry.  Uniforms: u, then w, for every draw,
+    in one (2, size) block whose first row becomes the draws, then v' per
+    rejected draw.  The call also allocates the cells and a squeeze gather.
+    """
+    edge, width, top, squeeze = _ks_table(_KS_CELLS)
+    x, w = rng.random((2, size))
+    x *= _KS_CELLS
+    cell = x.astype(np.intp)
+    x -= cell
+    slow = np.flatnonzero(w > np.take(squeeze, cell))
+    j, v, w_slow = cell[slow], x[slow], w[slow]
+    x *= np.take(width, cell, out=w)
+    x += np.take(edge, cell, out=w)
+    end = (j == 0) | (j == _KS_CELLS - 1)
+    redo = end | (w_slow * top[j] > _ks_density(x[slow]))
+    v[redo & ~end] = rng.random(np.count_nonzero(redo & ~end))
+    x[slow[redo]] = ks_quantile((j[redo] + v[redo]) / _KS_CELLS)
+    return x

@@ -21,8 +21,8 @@ latent utility and a mixture scale, and their two updates are most of a
 sweep.  Each is one pass over all items on item-sized buffers that the
 workspace allocates once: the latent utilities fold every mean onto the
 positive side with the response's sign and take one inversion draw, and
-the mixture-scale step computes each proposal's observation precision once
-and stores the accepted ones in place.
+the mixture-scale step draws exact table proposals (``sample_ks``) and
+stores the accepted ones and their observation precisions in place.
 
 All conditionals are derived under the objective priors: flat on positive
 growth, and x^(-3/2) on each precision, which adds -1/2 to the gamma shape
@@ -56,10 +56,10 @@ class SweepWorkspace:
     ``update_latent_utilities`` and ``update_ks_scales`` overwrite on every
     call; the only item-sized temporaries left in the latent-utility and
     mixture-scale updates are those of ``sample_truncated_normal`` (its
-    scratch array and ``normal_isf``'s) and of ``sample_ks``.  Also
-    sums each update's wall seconds (``update_s``, by the update's name in
-    ``gibbs_sweep``) and counts the mixture-scale proposals and acceptances
-    and the guard redraws for the run report.
+    scratch array and ``normal_isf``'s) and of ``sample_ks`` (its uniforms,
+    cells and a squeeze gather).  Also sums each update's wall seconds
+    (``update_s``, by name in ``gibbs_sweep``) and counts the mixture-scale
+    proposals and acceptances and the guard redraws for the run report.
     """
 
     def __init__(self, data: Dataset, constants: ModelConstants,

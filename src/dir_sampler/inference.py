@@ -274,8 +274,8 @@ TRACE_NAMES = ("theta", "growth", "day_effect_sd", "test_effect_sd", "drift_sd")
 def write_traces_csv(output: ChainOutput, path) -> None:
     """Every kept draw of every scalar as (iteration, value) rows, in the
     keyed layout of ``model.keyed_layout``."""
-    write_keyed_csv(path, TRACES_HEADER, TRACE_NAMES, output.days,
-                    (np.column_stack([output.iterations, row]) for row in output.draws))
+    write_keyed_csv(path, TRACES_HEADER, TRACE_NAMES, output.days, output.draws,
+                    lead=output.iterations)
 
 
 def write_summary_csv(quantiles: np.ndarray, days: np.ndarray, path) -> None:

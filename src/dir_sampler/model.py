@@ -617,18 +617,20 @@ def _key_text(key) -> str:
 
 
 def write_keyed_csv(path, header: Sequence[str], names: Sequence[str], days,
-                    series) -> None:
+                    series, lead=None) -> None:
     """Write a keyed file: ``series`` yields the values of each series in
-    layout order, written as rows of ``len(header) - 3`` fields.  Each series
-    is formatted by one ``%`` operation on a row template repeated once per
-    row; ``%.17g`` prints the same text as ``_fmt``."""
-    width = len(header) - 3
+    layout order, as rows of ``len(header) - 3`` fields, or one row per value
+    of ``lead`` (a trace's iterations, formatted once) that starts the row.
+    One ``%`` operation per series; ``%.17g`` prints the same as ``_fmt``."""
+    width = len(header) - 3 - (lead is not None)
     row = ",".join(["%.17g"] * width) + "\r\n"  # the row end of csv.writer
+    lead_rows = None if lead is None else ["%.17g," % x + row for x in lead.tolist()]
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for key, values in zip(keyed_layout(days, names), series, strict=True):
-            values = np.ravel(values).tolist()
-            fh.write((",".join(key) + "," + row) * (len(values) // width) % tuple(values))
+            values, prefix = np.ravel(values).tolist(), ",".join(key) + ","
+            rows = [row] * (len(values) // width) if lead is None else lead_rows
+            fh.write((prefix + prefix.join(rows)) % tuple(values))
 
 
 def read_keyed_csv(path, header: Sequence[str], names: Sequence[str]) -> tuple:
