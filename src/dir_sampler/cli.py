@@ -51,16 +51,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError, DirSamplerError, ValidationError
-from .model import (Dataset, ModelConstants, SamplerConfig, read_dataset_csv,
-                    split_keyed, validate_dataset, write_dataset_csv,
-                    GROUPS_FILE, LAPSES_FILE, RESPONSES_FILE)
+from .model import (DEFAULT_CONSTANTS, DEFAULT_GROUP_PRIOR, Dataset, ModelConstants,
+                    SamplerConfig, read_dataset_csv, split_keyed, validate_dataset,
+                    write_dataset_csv, GROUPS_FILE, LAPSES_FILE, RESPONSES_FILE)
 
-# Fallback constants for fits without a config file: the reading-testbed
-# design values, recorded in the manifest either way.
-DEFAULT_SIGMA = 0.7333
-DEFAULT_RHO = 0.1180
-DEFAULT_DELTA_TMAX = 14.0
-DEFAULT_GROUP_PRIOR = (0.0, 1.0)
 RUN_REPORT_FILE = "run_report.json"
 
 # fit's and online's config keys: these eight, and fit's chains or online's drift_sd
@@ -196,10 +190,8 @@ def _constants_from(cfg: dict, data: Dataset) -> ModelConstants:
     with _malformed("group_prior"):
         priors = {label: tuple(map(float, prior_cfg[str(label)])) if str(label) in prior_cfg
                   else DEFAULT_GROUP_PRIOR for label in set(data.group)}
-        return ModelConstants(sigma=cfg.get("sigma", DEFAULT_SIGMA),
-                              rho=cfg.get("rho", DEFAULT_RHO),
-                              delta_tmax=cfg.get("delta_tmax", DEFAULT_DELTA_TMAX),
-                              group_prior=priors)
+        return ModelConstants(group_prior=priors, **{key: cfg.get(key, value)
+                                                     for key, value in DEFAULT_CONSTANTS.items()})
 
 
 def _fit_one_chain(packed):

@@ -226,43 +226,19 @@ def _ks_lower_quantile(u: np.ndarray) -> np.ndarray:
     floats as with r^6.  log F is concave and decreasing in y, so no step
     overshoots to y <= 0.  The start solves the one-term equation
     pi^2 y/8 - log(y)/2 = log(sqrt(2 pi)/u) to first order; the third step
-    reaches rounding error.  ``u`` is overwritten, and each step runs in
-    place on five buffers of its size.
+    reaches rounding error.
     """
-    target = np.log(u, out=u)
-    target -= _HALF_LOG_2PI
+    target = np.log(u) - _HALF_LOG_2PI
     y = target / -_PI_SQ_8
-    e, r, r3, series = (np.empty_like(y) for _ in range(4))
-    np.log(y, out=e)
-    e *= 0.5
-    e /= _PI_SQ_8
-    y += e
+    y += np.log(y) * 0.5 / _PI_SQ_8
     for _ in range(3):
-        np.multiply(y, -_PI_SQ_8, out=e)
-        np.exp(e, out=e)
-        np.square(e, out=r)
-        np.square(r, out=r)
-        np.square(r, out=r)  # exp(-pi^2 y)
-        np.multiply(r, r, out=r3)
-        r3 *= r
-        np.add(r, 1.0, out=series)
-        series += r3
-        slope = np.multiply(r3, 3.0, out=r3)
-        slope += r
-        slope *= np.pi ** 2
-        slope /= series
-        np.divide(0.5, y, out=r)
-        r -= _PI_SQ_8
-        np.subtract(r, slope, out=slope)  # d log F / dy
-        step = np.sqrt(y, out=r)
-        step *= e
-        step *= series
-        np.log(step, out=step)
-        step -= target
-        step /= slope
-        y -= step
-    np.sqrt(y, out=y)
-    return np.divide(1.0, y, out=y)
+        e = np.exp(y * -_PI_SQ_8)
+        r = np.square(np.square(np.square(e)))  # exp(-pi^2 y)
+        r3 = r * r * r
+        series = r + 1.0 + r3
+        slope = 0.5 / y - _PI_SQ_8 - (r3 * 3.0 + r) * np.pi ** 2 / series  # d log F / dy
+        y -= (np.log(np.sqrt(y) * e * series) - target) / slope
+    return 1.0 / np.sqrt(y)
 
 
 def _ks_upper_quantile(u: np.ndarray) -> np.ndarray:
@@ -293,15 +269,16 @@ def ks_quantile(u) -> np.ndarray:
 
     Three (lower) or two (upper) Newton steps on the series of each tail,
     split at x = 1, bring F(x) within 1e-13 of u, relatively, for u in
-    [2^-53, 1 - 2^-53]; u = 0 maps to the smallest positive float.
+    [2^-53, 1 - 2^-53]; u = 0 maps to the smallest positive float.  A tail
+    with no values takes no steps.
     """
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     x = np.full_like(flat, _TINY)
-    lower = np.flatnonzero((flat > 0.0) & (flat <= _KS_SPLIT))
-    upper = np.flatnonzero(flat > _KS_SPLIT)
-    x[lower] = _ks_lower_quantile(flat[lower])
-    x[upper] = _ks_upper_quantile(flat[upper])
+    for tail, invert in (((flat > 0.0) & (flat <= _KS_SPLIT), _ks_lower_quantile),
+                         (flat > _KS_SPLIT, _ks_upper_quantile)):
+        if np.any(tail):
+            x[tail] = invert(flat[tail])
     return x.reshape(u.shape)
 
 
@@ -351,7 +328,8 @@ def sample_ks(rng: np.random.Generator, size: int) -> np.ndarray:
     cell's draw is ks_quantile(u).  Given its cell, each draw follows f on it,
     so the law is exact with no retry.  Uniforms: u, then w, for every draw,
     in one (2, size) block whose first row becomes the draws, then v' per
-    rejected draw.  The call also allocates the cells and a squeeze gather.
+    rejected draw.  The call also allocates the cells and a squeeze gather;
+    when every draw passes its squeeze, that is all it does.
     """
     edge, width, top, squeeze = _ks_table(_KS_CELLS)
     x, w = rng.random((2, size))
@@ -362,6 +340,8 @@ def sample_ks(rng: np.random.Generator, size: int) -> np.ndarray:
     j, v, w_slow = cell[slow], x[slow], w[slow]
     x *= np.take(width, cell, out=w)
     x += np.take(edge, cell, out=w)
+    if slow.size == 0:
+        return x
     end = (j == 0) | (j == _KS_CELLS - 1)
     redo = end | (w_slow * top[j] > _ks_density(x[slow]))
     v[redo & ~end] = rng.random(np.count_nonzero(redo & ~end))

@@ -26,9 +26,9 @@ import numpy as np
 from .distributions import make_rng
 from .errors import ConfigError, DataError, ValidationError
 from .gibbs import SweepWorkspace, gibbs_sweep
-from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, initial_state,
-                    keyed_layout, propriety_failures, read_keyed_csv, split_keyed,
-                    theta_offsets, validate_dataset, write_keyed_csv)
+from .model import (Dataset, ModelConstants, SamplerConfig, _offsets, check_difficulty_range,
+                    initial_state, keyed_layout, propriety_failures, read_keyed_csv,
+                    split_keyed, theta_offsets, validate_dataset, write_keyed_csv)
 
 QUANTILES = (0.025, 0.5, 0.975)
 _QUANTILES = np.array(QUANTILES)
@@ -166,13 +166,20 @@ def _run_chain(data: Dataset, constants: ModelConstants, config: SamplerConfig,
                 "guard_redraws": work.guard_redraws, "update_s": work.update_s})
 
 
+def _check_data(data: Dataset, constants: ModelConstants) -> None:
+    """Raise before any sweep unless ``data`` passes the propriety gate and
+    its difficulties are in the sweep's range under ``constants``."""
+    report = validate_dataset(data)
+    if not report.passed:
+        raise ValidationError(report)
+    check_difficulty_range(data, constants)
+
+
 def fit(data: Dataset, constants: ModelConstants, config: SamplerConfig) -> ChainOutput:
     """Validate, run burn-in plus sampling sweeps, summarize."""
     if config.fixed_drift_sd is not None:  # a chain over the full data learns it
         raise ConfigError("fixed_drift_sd is used only on-line (fit_online)")
-    report = validate_dataset(data)
-    if not report.passed:
-        raise ValidationError(report)
+    _check_data(data, constants)
     return _run_chain(data, constants, config)
 
 
@@ -241,9 +248,7 @@ def fit_online(data: Dataset, constants: ModelConstants, config: SamplerConfig) 
     individuals are independent, so sharing the chain changes no posterior."""
     if config.fixed_drift_sd is None:
         raise ConfigError("on-line estimation requires fixed_drift_sd")
-    report = validate_dataset(data)
-    if not report.passed:
-        raise ValidationError(report)
+    _check_data(data, constants)
     quantiles = np.empty((len(QUANTILES), data.n_days))
     flagged = np.empty(data.n_days, dtype=bool)
     refits = []

@@ -225,6 +225,12 @@ class Dataset:
                        lapse=self.lapse[keep_day], group=self.group)
 
 
+# The reading-testbed design values: the paper simulation's truth, and the
+# constants and initial-ability prior of a fit whose config leaves them out.
+DEFAULT_CONSTANTS = {"sigma": 0.7333, "rho": 0.1180, "delta_tmax": 14.0}
+DEFAULT_GROUP_PRIOR = (0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class ModelConstants:
     """Known quantities: item-deviation sd, growth deceleration, lapse cap,
@@ -409,6 +415,25 @@ def validate_dataset(data: Dataset) -> ValidationReport:
     if int(np.sum(data.days)) - 1 <= 0:
         failures.append((CLAUSE_DRIFT_SHAPE, f"Σ T_i = {int(np.sum(data.days))}"))
     return ValidationReport(passed=not failures, failures=tuple(failures))
+
+
+def check_difficulty_range(data: Dataset, constants: ModelConstants) -> None:
+    """Raise ``DataError`` naming a test whose difficulty a the sweep cannot
+    square: the effects, residuals and ability moves that a pulls to about a
+    are squared (effect and drift precision rates, mixture-scale ratio), and
+    an ability near a adds up to delta_tmax (1 - rho a)^2 to growth's
+    precision.  Both are convex in a, so the extreme difficulties are checked."""
+    for k in (int(np.argmin(data.difficulty)), int(np.argmax(data.difficulty))):
+        a = float(data.difficulty[k])
+        g = 1.0 - constants.rho * a
+        for what, value in (("difficulty**2", a * a),
+                            ("delta_tmax*(1 - rho*difficulty)**2", constants.delta_tmax * (g * g))):
+            if math.isinf(value):
+                day = int(np.searchsorted(data.test_start, k, "right")) - 1
+                i = int(np.searchsorted(data.day_start, day, "right")) - 1
+                where = _describe(([i], [day - data.day_start[i]], [k - data.test_start[day]]), 0)
+                raise DataError(f"{where}: difficulty {a!r} is too large for the sweep: "
+                                f"{what} overflows")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ import numpy as np
 
 from .distributions import make_rng
 from .errors import ConfigError, DataError
-from .model import (CLAUSE_MIXED, Dataset, ModelConstants, _offsets, read_keyed_csv,
-                    split_keyed, theta_offsets, validate_dataset, write_keyed_csv)
+from .model import (CLAUSE_MIXED, DEFAULT_CONSTANTS, DEFAULT_GROUP_PRIOR, Dataset, _offsets,
+                    read_keyed_csv, split_keyed, theta_offsets, validate_dataset,
+                    write_keyed_csv)
 
 SIM_GROUP = "sim"
 TRUTH_FILE = "truth.csv"
@@ -56,8 +57,8 @@ class SimConfig:
     rho: float
     delta_tmax: float
     difficulty_halfwidth: float = 0.1
-    init_mean: float = 0.0
-    init_var: float = 1.0
+    init_mean: float = DEFAULT_GROUP_PRIOR[0]
+    init_var: float = DEFAULT_GROUP_PRIOR[1]
     lapse_table: object = None
     seed: int = 0
 
@@ -101,10 +102,6 @@ class SimConfig:
             return np.array(self.lapse_table, dtype=float)
         return np.tile(paper_lapse_schedule(self.days), (self.n_individuals, 1))
 
-    def constants(self) -> ModelConstants:
-        return ModelConstants(sigma=self.sigma, rho=self.rho, delta_tmax=self.delta_tmax,
-                              group_prior={SIM_GROUP: (self.init_mean, self.init_var)})
-
 
 def paper_default_config(seed: int = 0) -> SimConfig:
     """The 10-individual, 50-day, 4-test, 10-item reference design."""
@@ -117,8 +114,7 @@ def paper_default_config(seed: int = 0) -> SimConfig:
         test_effect_precision=(4.0, 3.1250, 4.3478, 2.7027, 3.7037,
                                2.8571, 4.0, 2.2222, 9.0909, 4.5455),
         drift_precision=1.0 / 0.0218 ** 2,
-        sigma=0.7333, rho=0.1180, delta_tmax=14.0,
-        seed=seed,
+        **DEFAULT_CONSTANTS, seed=seed,
     )
 
 

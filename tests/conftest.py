@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 from dir_sampler.model import Dataset, ModelConstants
+from dir_sampler.simgen import SIM_GROUP
 
 
 @pytest.fixture
 def tiny_constants():
     return ModelConstants(sigma=0.7333, rho=0.1180, delta_tmax=14.0,
                           group_prior={"g": (0.0, 1.0)})
+
+
+def sim_constants(cfg) -> ModelConstants:
+    """The constants that the simulation config ``cfg`` draws its data under."""
+    return ModelConstants(sigma=cfg.sigma, rho=cfg.rho, delta_tmax=cfg.delta_tmax,
+                          group_prior={SIM_GROUP: (cfg.init_mean, cfg.init_var)})
 
 
 def build_dataset(responses, difficulties=None, lapses=None, groups=None) -> Dataset:

@@ -258,6 +258,25 @@ def test_fit_with_a_tiny_rho_writes_finite_ordered_quantiles(data_dir, tmp_path,
         assert np.all(q[:, 0] <= q[:, 1]) and np.all(q[:, 1] <= q[:, 2]), rho
 
 
+@pytest.mark.parametrize("command", ["fit", "online"])
+def test_difficulty_the_sweep_cannot_square_ends_the_run_before_any_sweep(data_dir, tmp_path,
+                                                                        capsys, command):
+    """A difficulty of 1e200 passes validate, but the sweep cannot square it:
+    fit and online end before any sweep, with no overflow warning, naming
+    the test and the quantity."""
+    for line in (2, 3):  # the two items of individual 1's day 1 test 1
+        replace_field(data_dir / "responses.csv", line, 5, "1e200")
+    assert run(capsys, "validate", data_dir)[0] == 0
+    out = tmp_path / "out"
+    extra = ["--drift-sd", 0.05] if command == "online" else []
+    code, err = run(capsys, command, data_dir, "--iterations", 20, "--burn-in", 10, *extra,
+                    "-o", out)
+    assert code == 1
+    assert ("individual 1 day 1 test 1: difficulty 1e+200 is too large for the sweep: "
+            "difficulty**2 overflows") in err
+    assert not any(out.iterdir())
+
+
 def write_traces(path, header, rows):
     path.mkdir(parents=True, exist_ok=True)
     (path / "traces.csv").write_text("\n".join([header, *rows]) + "\n", encoding="latin-1")

@@ -267,6 +267,43 @@ def test_sample_ks_draws_lie_in_the_cell_of_their_first_uniform():
     assert np.array_equal(draws[end], ks_quantile(u[end]))
 
 
+class FixedUniforms:
+    """Generator stand-in whose ``random`` returns fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert np.shape(self.u) == size
+        return self.u.copy()
+
+
+def not_called(*args):
+    raise AssertionError("called")
+
+
+def test_sample_ks_whose_draws_all_pass_the_squeeze_neither_inverts_nor_evaluates(monkeypatch):
+    # w = 0 passes the squeeze of every interior cell: the draws are the
+    # table's candidates edge_j + v width_j, with no density or inversion
+    cells = distributions._KS_CELLS
+    edge, width, _, _ = distributions._ks_table(cells)  # built before the patches
+    monkeypatch.setattr(distributions, "ks_quantile", not_called)
+    monkeypatch.setattr(distributions, "_ks_density", not_called)
+    u = np.array([0.001, 0.3, 0.5, 0.73, 0.999])
+    draws = sample_ks(FixedUniforms([u, np.zeros(u.size)]), u.size)
+    cell = (u * cells).astype(int)
+    assert np.array_equal(draws, edge[cell] + (u * cells - cell) * width[cell])
+
+
+@pytest.mark.parametrize("u, idle", [
+    pytest.param([0.0, 2.0**-53, 0.2, KS_SPLIT], "_ks_upper_quantile", id="lower"),
+    pytest.param([0.0, 0.8, 1.0 - 2.0**-53], "_ks_lower_quantile", id="upper")])
+def test_ks_quantile_runs_only_the_tail_its_values_lie_in(monkeypatch, u, idle):
+    expected = ks_quantile(u)
+    monkeypatch.setattr(distributions, idle, not_called)
+    assert np.array_equal(ks_quantile(u), expected)
+
+
 def test_ks_table_bounds_the_density_in_every_interior_cell():
     # envelope >= density >= squeeze * envelope on a 33-point grid of every
     # interior cell, the mode's cell included

@@ -27,7 +27,7 @@ from dir_sampler.simgen import SimConfig, paper_default_config, simulate_dataset
 
 from conftest import (FixedNormals, build_dataset, dense_posterior,
                       dense_test_effect_conditional, mc_se_mean, mc_se_var, proper_individual,
-                      traced_peak)
+                      sim_constants, traced_peak)
 
 # sigma chosen so that ks_scale = 0.4 gives unit observation variance
 SIGMA_UNIT = 0.6
@@ -115,7 +115,7 @@ def test_augmentation_updates_allocate_few_item_arrays():
     most of what is left."""
     data, _ = simulate_dataset(paper_default_config(seed=1))
     assert data.n_items >= 20_000
-    work = SweepWorkspace(data, paper_default_config().constants())
+    work = SweepWorkspace(data, sim_constants(paper_default_config()))
     state = initial_state(data)
     rng = make_rng(1)
     for _ in range(3):

@@ -12,11 +12,12 @@ from dir_sampler.errors import ConfigError, DataError, ValidationError
 from dir_sampler.inference import (QUANTILES, ChainOutput, ability_coverage, fit, fit_online,
                                    parameter_coverage, read_traces_csv, summarize,
                                    write_traces_csv, _run_chain)
-from dir_sampler.model import (ModelConstants, SamplerConfig, propriety_failures, split_keyed,
-                               theta_offsets)
+from dir_sampler.model import (ModelConstants, SamplerConfig, check_difficulty_range,
+                               propriety_failures, split_keyed, theta_offsets)
 from dir_sampler.simgen import SimConfig, SimTruth, paper_default_config, simulate_dataset
 
-from conftest import build_dataset, mixed_two_test_day, proper_individual, traced_peak
+from conftest import (build_dataset, mixed_two_test_day, proper_individual, sim_constants,
+                      traced_peak)
 
 
 def small_sim(seed=0, n=2, days=4):
@@ -27,7 +28,7 @@ def small_sim(seed=0, n=2, days=4):
         sigma=0.7333, rho=0.118, delta_tmax=14.0,
         lapse_table=np.full((n, days), 4.0), seed=seed)
     data, truth = simulate_dataset(cfg)
-    return data, truth, cfg.constants()
+    return data, truth, sim_constants(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,25 @@ def test_fit_refuses_invalid_dataset(tiny_constants):
     assert "n ≥ 2" in str(err.value)
 
 
+@pytest.mark.parametrize("rho, a, named", [
+    pytest.param(0.118, 2e154, "difficulty**2", id="square"),
+    # rho^2 delta_tmax > 1: the growth term overflows first
+    pytest.param(1.0, 5e153, "delta_tmax*(1 - rho*difficulty)**2", id="growth")])
+def test_fits_refuse_a_difficulty_the_sweep_cannot_square(rho, a, named):
+    def data_with(difficulty):  # at individual 2's day 3 test 2
+        return build_dataset([proper_individual()] * 2,
+                             [[[0.0, 0.0]] * 3, [[0.0, 0.0]] * 2 + [[0.0, difficulty]]])
+    constants = ModelConstants(sigma=0.7333, rho=rho, delta_tmax=14.0,
+                               group_prior={"g": (0.0, 1.0)})
+    config = SamplerConfig(n_iterations=10, burn_in=5, thin=1)
+    for run, run_config in ((fit, config), (fit_online, replace(config, fixed_drift_sd=0.05))):
+        with pytest.raises(DataError) as err:
+            run(data_with(a), constants, run_config)
+        assert str(err.value) == (f"individual 2 day 3 test 2: difficulty {a!r} is too large "
+                                  f"for the sweep: {named} overflows")
+    check_difficulty_range(data_with(a / 2), constants)  # passes
+
+
 def test_fit_deterministic_given_seed():
     data, _, constants = small_sim(seed=3)
     config = SamplerConfig(n_iterations=80, burn_in=40, thin=4, seed=11)
@@ -344,7 +364,7 @@ def test_online_medians_stay_near_the_truth_from_day_six(seed):
     data, truth = simulate_dataset(sim)
     config = SamplerConfig(n_iterations=40, burn_in=20, thin=1, seed=seed,
                            fixed_drift_sd=0.0218)
-    quantiles, _, _ = fit_online(data, sim.constants(), config)
+    quantiles, _, _ = fit_online(data, sim_constants(sim), config)
     for i in range(data.n_individuals):
         days = np.arange(6, data.days[i] + 1)
         error = (quantiles[1, data.day_start[i] + days - 1]
@@ -364,7 +384,7 @@ def test_online_medians_lie_in_a_long_chains_interval_from_day_six(seed):
     posterior they estimate."""
     sim = replace(paper_default_config(seed), days=20)
     data, _ = simulate_dataset(sim)
-    constants, drift_sd = sim.constants(), sim.drift_precision ** -0.5
+    constants, drift_sd = sim_constants(sim), sim.drift_precision ** -0.5
     quantiles, _, _ = fit_online(data, constants, SamplerConfig(
         n_iterations=40, burn_in=20, thin=1, seed=seed, fixed_drift_sd=drift_sd))
     long = SamplerConfig(n_iterations=2_000, burn_in=500, thin=1, seed=seed,

@@ -35,7 +35,7 @@ from dir_sampler.gibbs import SweepWorkspace, gibbs_sweep
 from dir_sampler.model import initial_state
 from dir_sampler.simgen import SimConfig, simulate_dataset
 
-from conftest import batch_means_se
+from conftest import batch_means_se, sim_constants
 
 # 3 individuals x 10 days x 3 tests x 5 items; lapses of 1-20 days, so
 # some exceed the 14-day growth horizon
@@ -123,7 +123,7 @@ def identity_z_scores(seed, n_kept=8_000, burn_in=500):
     batches; the chain starts at the simulated truth."""
     cfg = design(seed)
     data, truth = simulate_dataset(cfg)
-    work = SweepWorkspace(data, cfg.constants())
+    work = SweepWorkspace(data, sim_constants(cfg))
     state = initial_state(data)
     state.theta[:] = truth.theta
     state.growth[:] = truth.growth
